@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,10 +33,9 @@ from .dual_surface import (
     ConstraintSolution,
     FibrationHit,
     build_dual,
+    family_holds,
     general_fibration_criterion,
     solve_transform_constraints,
-    unit_pairing,
-    verify_solution,
 )
 from .mukai import (
     MukaiVector,
@@ -280,8 +280,7 @@ def _point_checks(g: int, n: int) -> list[ReportRecord]:
     add(
         "transform_constraints",
         {"solutions": len(family.solutions)},
-        all(verify_solution(g, n, sol) for sol in family.solutions)
-        and all(unit_pairing(g, n, sol) == 1 for sol in family.solutions),
+        family_holds(g, n),
     )
 
     return records
@@ -627,9 +626,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LIST_FLAGS = frozenset({"--v", "--u", "--f1", "--f2"})
+_NEGATIVE_LIST = re.compile(r"-\d+(,-?\d+)*")
+
+
+def _join_negative_lists(argv: list[str]) -> list[str]:
+    """Rewrite `--v -3,1,2` as `--v=-3,1,2`.
+
+    argparse reads a value that starts with '-' and is not a plain number as
+    a flag, so the spaced spelling of a vector or form with a negative
+    leading component would be rejected.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _LIST_FLAGS and _NEGATIVE_LIST.fullmatch(token):
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_lists(argv))
     try:
         records, code = args.handler(args)
     except (UsageError, ValueError) as exc:

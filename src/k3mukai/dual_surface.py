@@ -19,7 +19,9 @@ for some integers k and l that the lattice data does not pin down.  In the
 symbolic rank-two (D, E) lattice the unknowns x = D.E and y = E^2 are then
 forced: preserving the pairing of the last two classes gives x + n*k = 1,
 and preserving the square of the last one gives y = 2*n*l.  Solutions are
-exposed as an explicit family, never as invented single values.
+exposed as an explicit family, never as invented single values.  Every
+pairing the transform preserves is affine in (k, l) along the family, so
+`family_holds` settles all integer members at once by checking three.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "build_dual",
     "quotient_lattice",
     "solve_transform_constraints",
+    "family_holds",
     "verify_solution",
     "unit_pairing",
     "general_fibration_criterion",
@@ -188,7 +191,7 @@ def _transform_data(g: int, n: int, sol: ConstraintSolution):
 
 
 def verify_solution(g: int, n: int, sol: ConstraintSolution) -> bool:
-    """Re-check a family member against every pairing the isometry preserves."""
+    """Check one family member against every pairing the isometry preserves."""
     src, dst, table = _transform_data(g, n, sol)
     for i, (a, img_a) in enumerate(table):
         for b, img_b in table[i:]:
@@ -210,33 +213,57 @@ def unit_pairing(g: int, n: int, sol: ConstraintSolution) -> int:
     return pairing(bundle, curve, dst)
 
 
+def _member(n: int, k: int, l: int) -> ConstraintSolution:
+    """The family member at (k, l): de = 1 - n*k, e2 = 2*n*l."""
+    return ConstraintSolution(k=k, l=l, de=1 - n * k, e2=2 * n * l)
+
+
+def family_holds(g: int, n: int) -> bool:
+    """True when every integer member (k, l) of the family satisfies the
+    transform, decided by `verify_solution` at (0, 0), (1, 0) and (0, 1).
+
+    Along the family the image classes (0, 0, 1), (0, D, k) and (n, -E, l)
+    keep their rank and NS coordinates; only their s-components k, l and
+    the target Gram entries de = 1 - n*k, e2 = 2*n*l move, each affinely in
+    (k, l).  A Mukai pairing is bilinear, and no term multiplies two moving
+    quantities, so each preserved pairing minus its fixed source value, and
+    `unit_pairing` minus one, is an affine function a + b*k + c*l.  It
+    vanishes at (0, 0), (1, 0) and (0, 1) exactly when a = b = c = 0, that
+    is, at every integer (k, l).
+    """
+    return all(
+        verify_solution(g, n, _member(n, k, l)) for k, l in ((0, 0), (1, 0), (0, 1))
+    )
+
+
 def solve_transform_constraints(
     g: int, n: int, k_range: tuple[int, int]
 ) -> TransformConstraintFamily:
     """Constraint family of the transform: de = 1 - n*k, e2 = 2*n*l.
 
-    Emits one solution per k in k_range and |l| up to the range width; every
-    emitted member is re-verified by evaluating all pairings in the
-    rank-two (D, E) lattice.  k and l stay free parameters by design.
+    Emits one solution per k in k_range and |l| up to the range width.  The
+    family is verified once, for every integer (k, l), by `family_holds`;
+    AssertionError means the parametrization violates the isometry.  k and
+    l stay free parameters by design.
     """
     if g < 2 or n < 2:
         raise ValueError("constraints require g >= 2 and n >= 2")
     k_min, k_max = k_range
     if k_min > k_max:
         raise ValueError("empty k range")
+    if not family_holds(g, n):
+        raise AssertionError(f"transform constraint family fails for g={g}, n={n}")
     width = k_max - k_min
-    solutions = []
-    for k in range(k_min, k_max + 1):
-        for l in range(-width, width + 1):
-            sol = ConstraintSolution(k=k, l=l, de=1 - n * k, e2=2 * n * l)
-            if not verify_solution(g, n, sol):
-                raise AssertionError(f"family member failed re-verification: {sol}")
-            solutions.append(sol)
+    solutions = tuple(
+        _member(n, k, l)
+        for k in range(k_min, k_max + 1)
+        for l in range(-width, width + 1)
+    )
     equations = (
         f"de + {n}*k == 1",
         f"e2 == {2 * n}*l",
     )
-    return TransformConstraintFamily(g, n, equations, tuple(solutions))
+    return TransformConstraintFamily(g, n, equations, solutions)
 
 
 @dataclass(frozen=True)

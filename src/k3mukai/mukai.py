@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 
+# Entries kept per NSGram constructor cache.  A full 2 <= g, n <= 10 ledger
+# sweep asks for 69 distinct rank-one and 252 distinct rank-two Gram
+# matrices, so a sweep repeated in one process never evicts; the bound only
+# stops a long-lived process from growing with every distinct input.
+GRAM_CACHE_SIZE = 512
+
+
 @dataclass(frozen=True)
 class NSGram:
     """Intersection Gram matrix of the Neron-Severi generators.
@@ -61,12 +68,12 @@ class NSGram:
             raise ValueError("Gram diagonal must be even (K3 Neron-Severi lattice)")
 
     @classmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=GRAM_CACHE_SIZE)
     def rank_one(cls, c_squared: int) -> "NSGram":
         return cls(((c_squared,),))
 
     @classmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=GRAM_CACHE_SIZE)
     def rank_two(cls, q11: int, q12: int, q22: int) -> "NSGram":
         return cls(((q11, q12), (q12, q22)))
 

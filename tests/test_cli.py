@@ -266,6 +266,39 @@ class TestParser:
             assert name in text
 
 
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (
+                ["pair", "--v", "-3,1,2", "--u", "-1,0,-1", "--c2", "8"],
+                ["pair", "--v=-3,1,2", "--u=-1,0,-1", "--c2", "8"],
+            ),
+            (
+                ["square", "--v", "-3,1,2", "--c2", "8", "--json"],
+                ["square", "--v=-3,1,2", "--c2", "8", "--json"],
+            ),
+            (
+                ["criterion", "--v", "-1,0,1", "--c2", "8", "--bound", "3"],
+                ["criterion", "--v=-1,0,1", "--c2", "8", "--bound", "3"],
+            ),
+            (
+                ["equiv", "--f1", "-2,0,6", "--f2", "-2,4,-2", "--bound", "3"],
+                ["equiv", "--f1=-2,0,6", "--f2=-2,4,-2", "--bound", "3"],
+            ),
+        ],
+        ids=["pair", "square", "criterion", "equiv"],
+    )
+    def test_spaced_negative_vector_equals_joined(self, capsys, spaced, joined):
+        code, out, _ = run_cli(capsys, *spaced)
+        assert code == 0 and out
+        assert (code, out) == run_cli(capsys, *joined)[:2]
+
+    def test_negative_number_after_list_flag_stays_a_value(self, capsys):
+        code, _, err = run_cli(capsys, "square", "--v", "-3", "--c2", "8")
+        assert code == 2
+        assert "r,c,s" in err
+
+
 def test_ledger_checks_cover_every_advertised_check():
     records = ledger_checks([2], [2])
     names = {record.inputs["check"] for record in records}

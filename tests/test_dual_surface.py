@@ -6,9 +6,11 @@ from math import gcd, isqrt
 
 import pytest
 
+import k3mukai.dual_surface
 from k3mukai.dual_surface import (
     ConstraintSolution,
     build_dual,
+    family_holds,
     general_fibration_criterion,
     quotient_lattice,
     solve_transform_constraints,
@@ -182,6 +184,46 @@ class TestTransformConstraints:
                         assert isometry_system_holds(g, n, k, l, de, e2) == expected
                         sol = ConstraintSolution(k, l, de, e2)
                         assert verify_solution(g, n, sol) == expected
+
+
+def members_all_verify(g, n, member, box=10):
+    """Member-by-member oracle: every pairing of every member in the box."""
+    for k in range(-box, box + 1):
+        for l in range(-box, box + 1):
+            sol = member(n, k, l)
+            if not verify_solution(g, n, sol) or unit_pairing(g, n, sol) != 1:
+                return False
+    return True
+
+
+# affine parametrizations: the true one, then one wrong in each of the
+# constant, k and l directions, and one whose de drifts with l
+PARAMETRIZATIONS = {
+    "true": lambda n, k, l: ConstraintSolution(k, l, 1 - n * k, 2 * n * l),
+    "constant": lambda n, k, l: ConstraintSolution(k, l, 2 - n * k, 2 * n * l),
+    "k_slope": lambda n, k, l: ConstraintSolution(k, l, 1 - (n + 1) * k, 2 * n * l),
+    "l_slope": lambda n, k, l: ConstraintSolution(k, l, 1 - n * k, 2 * (n + 1) * l),
+    "de_with_l": lambda n, k, l: ConstraintSolution(k, l, 1 - n * k + l, 2 * n * l),
+}
+ORACLE_POINTS = [(2, 2), (3, 2), (2, 5), (5, 3), (7, 4), (10, 10)]
+
+
+class TestFamilyHolds:
+    @pytest.mark.parametrize("name", sorted(PARAMETRIZATIONS))
+    def test_three_points_match_member_by_member_oracle(self, monkeypatch, name):
+        member = PARAMETRIZATIONS[name]
+        monkeypatch.setattr(k3mukai.dual_surface, "_member", member)
+        for g, n in ORACLE_POINTS:
+            expected = members_all_verify(g, n, member)
+            assert expected == (name == "true")
+            assert family_holds(g, n) == expected
+
+    def test_wrong_parametrization_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            k3mukai.dual_surface, "_member", PARAMETRIZATIONS["constant"]
+        )
+        with pytest.raises(AssertionError):
+            solve_transform_constraints(3, 2, (-3, 3))
 
 
 class TestGeneralFibrationCriterion:

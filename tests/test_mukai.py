@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from k3mukai.cli import ledger_checks
 from k3mukai.mukai import (
+    GRAM_CACHE_SIZE,
     MukaiVector,
     NSGram,
     Polarization,
@@ -243,3 +245,24 @@ def test_dual_is_isometry(data):
 def test_euler_characteristic_is_r_plus_s(data):
     gram, (v,) = data
     assert euler_characteristic(v, gram) == v.r + v.s
+
+
+class TestGramCache:
+    def test_caches_are_bounded(self):
+        for q12 in range(3 * GRAM_CACHE_SIZE):
+            NSGram.rank_two(2, q12, 0)
+        for cached in (NSGram.rank_one, NSGram.rank_two):
+            info = cached.cache_info()
+            assert info.maxsize == GRAM_CACHE_SIZE
+            assert info.currsize <= info.maxsize
+
+    def test_full_ledger_sweep_fits(self):
+        # a repeated sweep in one long-lived process must not evict
+        NSGram.rank_one.cache_clear()
+        NSGram.rank_two.cache_clear()
+        caches = (NSGram.rank_one, NSGram.rank_two)
+        ledger_checks(range(2, 11), range(2, 11))
+        misses = [cached.cache_info().misses for cached in caches]
+        assert max(misses) <= GRAM_CACHE_SIZE
+        ledger_checks(range(2, 11), range(2, 11))
+        assert [cached.cache_info().misses for cached in caches] == misses
