@@ -61,6 +61,7 @@ from .quadforms import (
     equivalent,
     gen_picard_determinant,
     hilb_picard_form,
+    isotropic_lines,
     picard_scheme_form,
 )
 

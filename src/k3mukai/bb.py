@@ -12,10 +12,10 @@ precisely when 2(g-1) C^2 is a perfect square.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
 
 from .hermite import kernel_of_functional
 from .mukai import MukaiVector, NSGram, is_primitive, pairing
+from .quadforms import QuadForm2, isotropic_lines
 
 __all__ = [
     "BBClass",
@@ -65,6 +65,10 @@ class BBLattice:
     def determinant(self) -> int:
         return -2 * (self.g - 1) * self.c2
 
+    @property
+    def form(self) -> QuadForm2:
+        return QuadForm2(self.c2, 0, -2 * (self.g - 1))
+
 
 def bb_square(cls: BBClass, lat: BBLattice) -> int:
     """Beauville-Bogomolov square a^2 c2 - 2(g-1) b^2."""
@@ -82,34 +86,23 @@ class IsotropicSearch:
 
 def isotropic_exists(lat: BBLattice) -> bool:
     """Closed form: a nonzero isotropic class exists iff 2(g-1)c2 is square."""
-    target = lat.c2 * 2 * (lat.g - 1)
-    root = isqrt(target)
-    return root * root == target
+    return bool(isotropic_lines(lat.form))
 
 
 def find_isotropic(lat: BBLattice, bound: int) -> IsotropicSearch:
-    """Enumerate primitive isotropic classes (a, +-b) with 0 < a <= bound.
+    """Primitive isotropic classes (a, b) with 0 < a <= bound.
 
-    Both signs of the E-coefficient are reported as distinct classes.  The
-    accompanying `exists` verdict is computed in closed form and refers to
-    the unbounded problem, so a true verdict with an empty list only means
-    the bound was too small (the smallest solution has a <= 2(g-1)).
+    They are the isotropic lines of diag(c2, -2(g-1)), taken with a > 0 and
+    listed as (a, |b|) then (a, -|b|); the bound only filters them.  The
+    `exists` verdict refers to the unbounded problem, so a true verdict with
+    an empty list only means the bound was too small (a^2 divides 2(g-1)).
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    e = 2 * (lat.g - 1)
-    classes = []
-    for a in range(1, bound + 1):
-        b2, rem = divmod(a * a * lat.c2, e)
-        if rem:
-            continue
-        b = isqrt(b2)
-        if b * b != b2 or gcd(a, b) != 1:
-            continue
-        classes.append(BBClass(a, b))
-        if b:
-            classes.append(BBClass(a, -b))
-    return IsotropicSearch(tuple(classes), isotropic_exists(lat))
+    lines = isotropic_lines(lat.form)
+    classes = [BBClass(abs(a), b if a > 0 else -b) for a, b in lines]
+    classes.sort(key=lambda cls: (cls.a, -cls.b))
+    return IsotropicSearch(tuple(c for c in classes if c.a <= bound), bool(lines))
 
 
 def fujiki_degree(qH: int, qHL: int, qL: int, g: int) -> int:

@@ -17,7 +17,7 @@ import json
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 
 from .bb import BBClass, BBLattice, bb_square, find_isotropic, fujiki_degree
@@ -34,6 +34,7 @@ from .dual_surface import (
     FibrationHit,
     build_dual,
     family_holds,
+    family_ranges,
     general_fibration_criterion,
     solve_transform_constraints,
 )
@@ -56,46 +57,29 @@ from .quadforms import (
 __all__ = ["ReportRecord", "ledger_checks", "census_records", "main"]
 
 
+# Widest `dual` span k_max - k_min; the family has (span + 1)(2 span + 1) members.
+DUAL_K_SPAN_MAX = 40
+
+
 class UsageError(Exception):
     pass
 
 
 def _encode(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
+    """JSON form of the values `json` cannot encode by itself."""
+    if is_dataclass(value):
+        # a dataclass instance's __dict__ holds its fields in declaration order
+        return vars(value)
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, MukaiVector):
-        return {"r": value.r, "c": list(value.c), "s": value.s}
-    if isinstance(value, BBClass):
-        return {"a": value.a, "b": value.b}
-    if isinstance(value, QuadForm2):
-        return {"m11": value.m11, "m12": value.m12, "m22": value.m22}
-    if isinstance(value, ConstraintSolution):
-        return {"k": value.k, "l": value.l, "de": value.de, "e2": value.e2}
-    if isinstance(value, FibrationHit):
-        return {
-            "w": _encode(value.w),
-            "branch": value.branch,
-            "d_square": value.d_square,
-            "gerbe_order": value.gerbe_order,
-        }
     if isinstance(value, frozenset):
-        return [_encode(x) for x in sorted(value)]
-    if isinstance(value, (list, tuple)):
-        return [_encode(x) for x in value]
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
+        return sorted(value)
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (MukaiVector, BBClass, QuadForm2)):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, ConstraintSolution):
         return f"(k={value.k}, l={value.l}, de={value.de}, e2={value.e2})"
     if isinstance(value, FibrationHit):
@@ -120,14 +104,10 @@ class ReportRecord:
     passed: bool | None = None
 
     def to_json(self) -> str:
-        obj = {
-            "command": self.command,
-            "inputs": _encode(self.inputs),
-            "outputs": _encode(self.outputs),
-        }
+        obj = {"command": self.command, "inputs": self.inputs, "outputs": self.outputs}
         if self.passed is not None:
             obj["pass"] = self.passed
-        return json.dumps(obj, separators=(",", ":"))
+        return json.dumps(obj, separators=(",", ":"), default=_encode)
 
     @classmethod
     def from_json(cls, line: str) -> "ReportRecord":
@@ -276,10 +256,10 @@ def _point_checks(g: int, n: int) -> list[ReportRecord]:
             d=d,
         )
 
-    family = solve_transform_constraints(g, n, (-3, 3))
+    k_values, l_values = family_ranges((-3, 3))
     add(
         "transform_constraints",
-        {"solutions": len(family.solutions)},
+        {"solutions": len(k_values) * len(l_values)},
         family_holds(g, n),
     )
 
@@ -443,6 +423,8 @@ def cmd_isotropic(args) -> tuple[list[ReportRecord], int]:
 def cmd_dual(args) -> tuple[list[ReportRecord], int]:
     _require_at_least(args.g, 2, "--g")
     _require_at_least(args.n, 2, "--n")
+    if args.k_max - args.k_min > DUAL_K_SPAN_MAX:
+        raise UsageError(f"--k-max - --k-min must be at most {DUAL_K_SPAN_MAX}")
     report = build_dual(args.g, args.n)
     family = solve_transform_constraints(args.g, args.n, (args.k_min, args.k_max))
     record = ReportRecord(

@@ -31,6 +31,7 @@ from math import gcd
 
 from .bb import perp_basis
 from .hermite import xgcd
+from .quadforms import QuadForm2, isotropic_lines
 from .mukai import (
     MukaiVector,
     NSGram,
@@ -51,6 +52,7 @@ __all__ = [
     "build_dual",
     "quotient_lattice",
     "solve_transform_constraints",
+    "family_ranges",
     "family_holds",
     "verify_solution",
     "unit_pairing",
@@ -236,29 +238,30 @@ def family_holds(g: int, n: int) -> bool:
     )
 
 
+def family_ranges(k_range: tuple[int, int]) -> tuple[range, range]:
+    """The k and l values the family lists: k in k_range, |l| up to its width."""
+    k_min, k_max = k_range
+    if k_min > k_max:
+        raise ValueError("empty k range")
+    return range(k_min, k_max + 1), range(k_min - k_max, k_max - k_min + 1)
+
+
 def solve_transform_constraints(
     g: int, n: int, k_range: tuple[int, int]
 ) -> TransformConstraintFamily:
     """Constraint family of the transform: de = 1 - n*k, e2 = 2*n*l.
 
-    Emits one solution per k in k_range and |l| up to the range width.  The
-    family is verified once, for every integer (k, l), by `family_holds`;
+    Emits one solution per (k, l) in `family_ranges(k_range)`.  The family
+    is verified once, for every integer (k, l), by `family_holds`;
     AssertionError means the parametrization violates the isometry.  k and
     l stay free parameters by design.
     """
     if g < 2 or n < 2:
         raise ValueError("constraints require g >= 2 and n >= 2")
-    k_min, k_max = k_range
-    if k_min > k_max:
-        raise ValueError("empty k range")
+    k_values, l_values = family_ranges(k_range)
     if not family_holds(g, n):
         raise AssertionError(f"transform constraint family fails for g={g}, n={n}")
-    width = k_max - k_min
-    solutions = tuple(
-        _member(n, k, l)
-        for k in range(k_min, k_max + 1)
-        for l in range(-width, width + 1)
-    )
+    solutions = tuple(_member(n, k, l) for k in k_values for l in l_values)
     equations = (
         f"de + {n}*k == 1",
         f"e2 == {2 * n}*l",
@@ -291,42 +294,35 @@ class CriterionReport:
 def general_fibration_criterion(
     v: MukaiVector, gram: NSGram, bound: int
 ) -> CriterionReport:
-    """Search for primitive isotropic w orthogonal to v with |entries| <= bound.
+    """Primitive isotropic w orthogonal to v with |entries| <= bound.
 
-    Requires <v, v> = 2g - 2 > 0.  Representatives are normalized to
-    non-negative rank; rank-zero hits additionally take the sign making
-    (c, s) lexicographically positive.  Output grows monotonically with the
-    bound and the enumeration order is fixed, so reports are deterministic.
+    Requires C^2 > 0 and <v, v> = 2g - 2 > 0, so v-perp is indefinite of
+    rank two: its isotropic lines come in closed form from `isotropic_lines`
+    on the Gram matrix of `perp_basis` (of v over its content), and the
+    bound only filters them.  Each w takes the sign making (r, c, s)
+    lexicographically positive; hits are sorted by (r, c, s).
     """
     if gram.rank != 1:
         raise ValueError("criterion requires a rank-one NS lattice")
+    if gram.entries[0][0] <= 0:
+        raise ValueError("criterion requires C^2 > 0")
     sq = square(v, gram)
     if sq <= 0 or sq % 2:
         raise ValueError("need square(v) = 2g - 2 > 0")
-    genus = sq // 2 + 1
-    polarization = Polarization((1,))
+    content = gcd(*v.components())
+    r, c, s = (x // content for x in v.components())
+    b1, b2 = perp_basis(MukaiVector(r, (c,), s), gram)
+    form = QuadForm2(square(b1, gram), pairing(b1, b2, gram), square(b2, gram))
     hits = []
-    for r in range(0, bound + 1):
-        for c in range(-bound, bound + 1):
-            for s in range(-bound, bound + 1):
-                w = MukaiVector(r, (c,), s)
-                if w.is_zero():
-                    continue
-                if r == 0 and (c, s) < (0, 0):
-                    continue
-                if gcd(r, c, s) != 1:
-                    continue
-                if square(w, gram) != 0 or pairing(v, w, gram) != 0:
-                    continue
-                if r == 0:
-                    hits.append(FibrationHit(w=w, branch="elliptic"))
-                else:
-                    hits.append(
-                        FibrationHit(
-                            w=w,
-                            branch="dual-surface",
-                            d_square=sq,
-                            gerbe_order=fineness_gcd(w, polarization, gram),
-                        )
-                    )
-    return CriterionReport(v=v, genus=genus, hits=tuple(hits))
+    for x, y in isotropic_lines(form):
+        w = x * b1 + y * b2
+        w = -w if w.components() < (0, 0, 0) else w
+        if max(map(abs, w.components())) > bound:
+            continue
+        if w.r == 0:
+            hits.append(FibrationHit(w, "elliptic"))
+        else:
+            gerbe = fineness_gcd(w, Polarization((1,)), gram)
+            hits.append(FibrationHit(w, "dual-surface", d_square=sq, gerbe_order=gerbe))
+    hits.sort(key=lambda hit: hit.w.components())
+    return CriterionReport(v=v, genus=sq // 2 + 1, hits=tuple(hits))

@@ -1,6 +1,6 @@
 """Integral binary quadratic forms and sound GL2(Z)-equivalence testing.
 
-Forms are symmetric integer Gram matrices [[m11, m12], [m22, m22]] acting as
+Forms are symmetric integer Gram matrices [[m11, m12], [m12, m22]] acting as
 f(x, y) = m11 x^2 + 2 m12 x y + m22 y^2.  Equivalence testing is sound but
 deliberately incomplete: invariants (determinant first) certify
 non-equivalence, a bounded unimodular search certifies equivalence, and
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "picard_scheme_form",
     "equivalent",
     "gen_picard_determinant",
+    "isotropic_lines",
 ]
 
 
@@ -59,6 +60,29 @@ class QuadForm2:
 
     def __str__(self) -> str:
         return f"[[{self.m11}, {self.m12}], [{self.m12}, {self.m22}]]"
+
+
+def isotropic_lines(form: QuadForm2) -> tuple[tuple[int, int], ...]:
+    """The primitive (x, y) with f(x, y) = 0, one per isotropic line, either sign.
+
+    m11 f = (m11 x + m12 y)^2 + det y^2, so for det < 0 the two lines exist
+    when -det = t^2 is a square, x : y = (-m12 +- t) : m11; when m11 = 0,
+    f = y (2 m12 x + m22 y) gives (1, 0) and (m22, -2 m12).  det > 0 gives
+    no line, and a degenerate form (det = 0) raises ValueError.
+    """
+    det = form.determinant()
+    if det == 0:
+        raise ValueError("isotropic lines of a degenerate form")
+    if det > 0:
+        return ()
+    t = isqrt(-det)
+    if t * t != -det:
+        return ()
+    if form.m11 == 0:
+        directions = ((1, 0), (form.m22, -2 * form.m12))
+    else:
+        directions = ((-form.m12 + t, form.m11), (-form.m12 - t, form.m11))
+    return tuple((x // gcd(x, y), y // gcd(x, y)) for x, y in directions)
 
 
 def hilb_picard_form(g: int, n: int) -> QuadForm2:

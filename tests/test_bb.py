@@ -1,6 +1,7 @@
 """Beauville-Bogomolov lattice: isotropic search against brute force, the
 Fujiki degree trichotomy, and orthogonal-complement Gram matrices."""
 
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -29,6 +30,24 @@ def brute_force_isotropic(c2, g, a_box, b_box):
         for b in range(-b_box, b_box + 1)
         if a * a * c2 == 2 * (g - 1) * b * b
     ]
+
+
+def a_loop(lat, bound):
+    """The original monotone search, kept as an oracle: for each a <= bound,
+    solve a^2 c2 = 2(g-1) b^2 for b and keep primitive (a, b), then (a, -b)."""
+    e = 2 * (lat.g - 1)
+    classes = []
+    for a in range(1, bound + 1):
+        b2, rem = divmod(a * a * lat.c2, e)
+        if rem:
+            continue
+        b = isqrt(b2)
+        if b * b != b2 or gcd(a, b) != 1:
+            continue
+        classes.append(BBClass(a, b))
+        if b:
+            classes.append(BBClass(a, -b))
+    return tuple(classes)
 
 
 class TestBBSquare:
@@ -113,6 +132,26 @@ class TestFindIsotropic:
                 b_box = a_box * isqrt(c2) + 1
                 hits = brute_force_isotropic(c2, g, a_box, b_box)
                 assert isotropic_exists(BBLattice(c2, g)) == bool(hits)
+
+
+    def test_matches_a_loop(self):
+        # even c2 <= 200, g <= 20, at bounds 1, 2(g-1) and 50
+        for c2 in range(2, 201, 2):
+            for g in range(2, 21):
+                lat = BBLattice(c2, g)
+                scanned = a_loop(lat, 50)
+                exists = isotropic_exists(lat)
+                for bound in (1, 2 * (g - 1), 50):
+                    result = find_isotropic(lat, bound)
+                    assert result.classes == tuple(c for c in scanned if c.a <= bound)
+                    assert result.exists == exists
+
+    def test_cost_does_not_depend_on_bound(self):
+        # a loop over a <= 10^7 takes seconds; the closed form takes microseconds
+        start = time.perf_counter()
+        result = find_isotropic(BBLattice(8, 2), 10**7)
+        assert time.perf_counter() - start < 0.5
+        assert result.classes == (BBClass(1, 2), BBClass(1, -2))
 
 
 class TestFujikiDegree:

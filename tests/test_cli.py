@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import k3mukai.checks
-from k3mukai.cli import ReportRecord, build_parser, main, ledger_checks
+from k3mukai.cli import DUAL_K_SPAN_MAX, ReportRecord, build_parser, main, ledger_checks
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +105,23 @@ class TestDual:
         assert all(sol["de"] == 1 - 2 * sol["k"] for sol in solutions)
         assert all(sol["e2"] == 4 * sol["l"] for sol in solutions)
 
+    def test_k_span_at_cap(self, capsys):
+        assert DUAL_K_SPAN_MAX == 40
+        code, out, _ = run_cli(
+            capsys, "dual", "--g", "2", "--n", "2", "--k-min", "-20", "--k-max", "20",
+            "--json",
+        )
+        assert code == 0
+        assert len(json.loads(out)["outputs"]["solutions"]) == 41 * 81
+
+    def test_k_span_above_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "dual", "--g", "2", "--n", "2", "--k-min", "-20", "--k-max", "21"
+        )
+        assert code == 2
+        assert out == ""
+        assert "at most 40" in err
+
 
 class TestCriterion:
     def test_default_vector_from_g_n(self, capsys):
@@ -119,6 +136,17 @@ class TestCriterion:
     def test_explicit_vector_needs_c2(self, capsys):
         code, _, err = run_cli(capsys, "criterion", "--v", "1,0,-1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--v", "1,0,-1", "--c2", "-8"], ["--v", "1,0,-1", "--c2", "0"],
+         ["--g", "2", "--c2", "-2"]],
+    )
+    def test_nonpositive_c2_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "criterion", *argv)
+        assert code == 2
+        assert out == ""
+        assert "C^2 > 0" in err
 
 
 class TestEquiv:

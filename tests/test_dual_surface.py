@@ -1,7 +1,9 @@
 """Dual-surface construction: the quotient lattice against an enumeration
 oracle, the transform constraint family against an exhaustive box search,
-and the general fibration criterion against an independent search."""
+and the general fibration criterion against an independent search and
+against the cube scan it replaced."""
 
+import time
 from math import gcd, isqrt
 
 import pytest
@@ -9,15 +11,25 @@ import pytest
 import k3mukai.dual_surface
 from k3mukai.dual_surface import (
     ConstraintSolution,
+    FibrationHit,
     build_dual,
     family_holds,
+    family_ranges,
     general_fibration_criterion,
     quotient_lattice,
     solve_transform_constraints,
     unit_pairing,
     verify_solution,
 )
-from k3mukai.mukai import MukaiVector, NSGram, is_primitive, pairing, square
+from k3mukai.mukai import (
+    MukaiVector,
+    NSGram,
+    Polarization,
+    fineness_gcd,
+    is_primitive,
+    pairing,
+    square,
+)
 
 
 def orthogonal_vectors(w, c2, box):
@@ -161,6 +173,18 @@ class TestTransformConstraints:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             solve_transform_constraints(2, 2, (3, 1))
+        with pytest.raises(ValueError):
+            family_ranges((3, 1))
+
+    def test_family_ranges_size_the_family(self):
+        for k_range in [(0, 0), (-3, 3), (2, 5)]:
+            k_values, l_values = family_ranges(k_range)
+            family = solve_transform_constraints(3, 2, k_range)
+            assert [(s.k, s.l) for s in family.solutions] == [
+                (k, l) for k in k_values for l in l_values
+            ]
+        k_values, l_values = family_ranges((-3, 3))
+        assert (len(k_values), len(l_values)) == (7, 13)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -299,3 +323,80 @@ class TestGeneralFibrationCriterion:
                     expected.add(MukaiVector(r, (c,), s))
         report = general_fibration_criterion(v, gram, bound)
         assert {h.w for h in report.hits} == expected
+
+    def test_rejects_nonpositive_c2(self):
+        # C^2 <= 0 leaves the paper's setting, and v-perp may be degenerate
+        for c2 in (0, -8):
+            with pytest.raises(ValueError, match="C\\^2 > 0"):
+                general_fibration_criterion(
+                    MukaiVector(1, (0,), -1), NSGram.rank_one(c2), 3
+                )
+
+    def test_cost_does_not_depend_on_bound(self):
+        # the bound only filters two closed-form lines; a scan of the
+        # (b+1)(2b+1)^2 box at b = 100 takes seconds
+        gram = NSGram.rank_one(8)
+        v = MukaiVector(1, (0,), -1)
+        start = time.perf_counter()
+        wide = general_fibration_criterion(v, gram, 100)
+        assert time.perf_counter() - start < 0.5
+        assert wide.hits == general_fibration_criterion(v, gram, 2).hits
+
+
+def cube_scan(v, c2, bound):
+    """The original bounded search, kept as an oracle: every w in the
+    (bound+1)(2 bound+1)^2 box, in (r, c, s) order, filtered by the
+    definitions (plain integers stand in for the Mukai pairing)."""
+    vr, (vc,), vs = v.r, v.c, v.s
+    gram = NSGram.rank_one(c2)
+    sq = vc * vc * c2 - 2 * vr * vs
+    hits = []
+    for r in range(0, bound + 1):
+        for c in range(-bound, bound + 1):
+            for s in range(-bound, bound + 1):
+                if (r, c, s) == (0, 0, 0):
+                    continue
+                if r == 0 and (c, s) < (0, 0):
+                    continue
+                if gcd(r, c, s) != 1:
+                    continue
+                if c * c * c2 - 2 * r * s != 0 or vc * c * c2 - vr * s - r * vs != 0:
+                    continue
+                w = MukaiVector(r, (c,), s)
+                if r == 0:
+                    hits.append(FibrationHit(w=w, branch="elliptic"))
+                else:
+                    hits.append(
+                        FibrationHit(
+                            w=w,
+                            branch="dual-surface",
+                            d_square=sq,
+                            gerbe_order=fineness_gcd(w, Polarization((1,)), gram),
+                        )
+                    )
+    return hits
+
+
+def test_criterion_matches_cube_scan():
+    """Every v with |entries| <= 2 and positive square, imprimitive ones
+    included, on every even 2 <= C^2 <= 12: the closed form gives the cube
+    scan's hits, in order, at each bound from 1 to 8."""
+    cases = 0
+    for c2 in range(2, 13, 2):
+        gram = NSGram.rank_one(c2)
+        for r in range(-2, 3):
+            for c in range(-2, 3):
+                for s in range(-2, 3):
+                    v = MukaiVector(r, (c,), s)
+                    if square(v, gram) <= 0:
+                        continue
+                    scanned = cube_scan(v, c2, 8)
+                    for bound in range(1, 9):
+                        expected = [
+                            hit for hit in scanned
+                            if max(map(abs, hit.w.components())) <= bound
+                        ]
+                        report = general_fibration_criterion(v, gram, bound)
+                        assert list(report.hits) == expected, (v, c2, bound)
+                    cases += 1
+    assert cases > 300

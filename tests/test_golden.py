@@ -22,6 +22,41 @@ TRANSCRIPTS = {
     "dual_g3_n4_k6.ndjson": [
         "dual", "--g", "3", "--n", "4", "--k-min", "-6", "--k-max", "6", "--json",
     ],
+    "criterion_g2_n2_b5.txt": ["criterion", "--g", "2", "--n", "2", "--bound", "5"],
+    "criterion_g2_n2_b5.ndjson": [
+        "criterion", "--g", "2", "--n", "2", "--bound", "5", "--json",
+    ],
+    # one elliptic and one dual-surface hit
+    "criterion_v010_c2_2_b2.ndjson": [
+        "criterion", "--v=0,1,0", "--c2", "2", "--bound", "2", "--json",
+    ],
+    # the bound admits (1, 0, 0) but not the other line (1, 1, 2)
+    "criterion_v210_c2_4_b1.ndjson": [
+        "criterion", "--v=2,1,0", "--c2", "4", "--bound", "1", "--json",
+    ],
+    # imprimitive v: genus and d_square come from v itself, not v / 2
+    "criterion_v20m2_c2_8_b5.ndjson": [
+        "criterion", "--v=2,0,-2", "--c2", "8", "--bound", "5", "--json",
+    ],
+    "isotropic_c2_8_g2_b10.txt": ["isotropic", "--c2", "8", "--g", "2", "--bound", "10"],
+    "isotropic_c2_8_g2_b10.ndjson": [
+        "isotropic", "--c2", "8", "--g", "2", "--bound", "10", "--json",
+    ],
+    "isotropic_c2_4_g2_b50.ndjson": [
+        "isotropic", "--c2", "4", "--g", "2", "--bound", "50", "--json",
+    ],
+    "pair.txt": ["pair", "--v", "2,1,2", "--u", "2,1,2", "--c2", "8"],
+    "pair.ndjson": ["pair", "--v", "2,1,2", "--u", "2,1,2", "--c2", "8", "--json"],
+    "square.txt": ["square", "--v", "1,0,-1", "--c2", "8"],
+    "square.ndjson": ["square", "--v", "1,0,-1", "--c2", "8", "--json"],
+    "equiv_g2_n2_d2.txt": ["equiv", "--g", "2", "--n", "2", "--d", "2"],
+    "equiv_g2_n2_d2.ndjson": ["equiv", "--g", "2", "--n", "2", "--d", "2", "--json"],
+    "equiv_forms.txt": ["equiv", "--f1", "8,0,-2", "--f2", "0,-2,2"],
+    "equiv_forms.ndjson": ["equiv", "--f1", "8,0,-2", "--f2", "0,-2,2", "--json"],
+    "census_10_10.txt": ["census", "--g-max", "10", "--n-max", "10", "--jobs", "4"],
+    "census_10_10.ndjson": [
+        "census", "--g-max", "10", "--n-max", "10", "--jobs", "4", "--json",
+    ],
 }
 
 # full 2 <= g, n <= 10 ledger: 7,220 records, 1,144,271 bytes as NDJSON

@@ -1,6 +1,7 @@
 """Quadratic form construction and the sound equivalence decision."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from k3mukai.quadforms import (
     equivalent,
     gen_picard_determinant,
     hilb_picard_form,
+    isotropic_lines,
     picard_scheme_form,
 )
 
@@ -39,6 +41,58 @@ class TestQuadForm2:
         v = ((1, 0), (2, 1))
         uv = ((1 * 1 + 1 * 2, 1 * 0 + 1 * 1), (0 * 1 + 1 * 2, 0 * 0 + 1 * 1))
         assert f.transform(u).transform(v) == f.transform(uv)
+
+
+def up_to_sign(lines):
+    return {max((x, y), (-x, -y)) for x, y in lines}
+
+
+class TestIsotropicLines:
+    def test_definite_form_has_none(self):
+        assert isotropic_lines(QuadForm2(2, 1, 3)) == ()
+        assert isotropic_lines(QuadForm2(-2, 1, -3)) == ()
+
+    def test_non_square_discriminant_has_none(self):
+        # -det = 12 is not a square, although the form is indefinite
+        assert isotropic_lines(QuadForm2(2, 0, -6)) == ()
+
+    def test_square_discriminant(self):
+        # 8x^2 - 2y^2 = 2(2x - y)(2x + y)
+        assert up_to_sign(isotropic_lines(QuadForm2(8, 0, -2))) == {(1, 2), (1, -2)}
+
+    def test_lines_are_divided_by_their_gcd(self):
+        # 4x^2 + 2*4xy = 4x(x + 2y): directions (-4 +- 4, 4) before division
+        assert up_to_sign(isotropic_lines(QuadForm2(4, 4, 0))) == {(0, 1), (2, -1)}
+
+    def test_leading_zero(self):
+        # y(2*3x + 5y): the roles of x and y swap when m11 = 0
+        assert up_to_sign(isotropic_lines(QuadForm2(0, 3, 5))) == {(1, 0), (5, -6)}
+        assert up_to_sign(isotropic_lines(QuadForm2(0, -1, 0))) == {(1, 0), (0, 1)}
+
+    @pytest.mark.parametrize("form", [QuadForm2(0, 0, 0), QuadForm2(1, 1, 1),
+                                      QuadForm2(0, 0, 4), QuadForm2(4, -2, 1)])
+    def test_degenerate_form_rejected(self, form):
+        with pytest.raises(ValueError):
+            isotropic_lines(form)
+
+    def test_matches_box_search(self):
+        # every primitive zero in the box, up to sign, is one of the lines;
+        # the box is wide enough to contain both for |entries| <= 3
+        box = range(-10, 11)
+        for m11 in range(-3, 4):
+            for m12 in range(-3, 4):
+                for m22 in range(-3, 4):
+                    form = QuadForm2(m11, m12, m22)
+                    if form.determinant() == 0:
+                        continue
+                    zeros = [
+                        (x, y) for x in box for y in box
+                        if gcd(x, y) == 1 and form.value(x, y) == 0
+                    ]
+                    lines = isotropic_lines(form)
+                    assert all(form.value(x, y) == 0 and gcd(x, y) == 1 for x, y in lines)
+                    assert up_to_sign(lines) == up_to_sign(zeros), form
+                    assert len(lines) in (0, 2)
 
 
 class TestHilbPicardForm:
