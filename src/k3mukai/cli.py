@@ -16,7 +16,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 
@@ -59,6 +58,10 @@ __all__ = ["ReportRecord", "ledger_checks", "census_records", "main"]
 
 # Widest `dual` span k_max - k_min; the family has (span + 1)(2 span + 1) members.
 DUAL_K_SPAN_MAX = 40
+# Largest `census` --g-max or --n-max; the 100 x 100 grid takes about 1 s.
+CENSUS_GRID_MAX = 100
+# Largest `equiv --bound`; an undecided pair searches (2 bound + 1)^4 matrices.
+EQUIV_BOUND_MAX = 25
 
 
 class UsageError(Exception):
@@ -300,6 +303,7 @@ def census_records(g_max: int, n_max: int, jobs: int = 1) -> list[ReportRecord]:
     """One record per grid point, ordered by (g, n) regardless of jobs."""
     grid = [(g, n) for g in range(2, g_max + 1) for n in range(2, n_max + 1)]
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # slow import, rarely used
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_census_record, grid))
     return [_census_record(point) for point in grid]
@@ -475,6 +479,8 @@ def cmd_criterion(args) -> tuple[list[ReportRecord], int]:
 
 def cmd_equiv(args) -> tuple[list[ReportRecord], int]:
     _require_at_least(args.bound, 1, "--bound")
+    if args.bound > EQUIV_BOUND_MAX:
+        raise UsageError(f"--bound must be at most {EQUIV_BOUND_MAX}")
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
             raise UsageError("--f1 and --f2 must be given together")
@@ -517,54 +523,43 @@ def cmd_census(args) -> tuple[list[ReportRecord], int]:
     _require_at_least(args.g_max, 2, "--g-max")
     _require_at_least(args.n_max, 2, "--n-max")
     _require_at_least(args.jobs, 1, "--jobs")
+    if max(args.g_max, args.n_max) > CENSUS_GRID_MAX:
+        raise UsageError(f"--g-max and --n-max must be at most {CENSUS_GRID_MAX}")
     return census_records(args.g_max, args.n_max, jobs=args.jobs), 0
 
 
 _RENDERERS = {"census": _render_census, "verify-paper": _render_verify}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--json", action="store_true", help="emit newline-delimited JSON records"
-    )
-    parser = argparse.ArgumentParser(
-        prog="k3mukai",
-        description="Exact Mukai-lattice arithmetic for K3 surfaces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pair", parents=[shared], help="Mukai pairing of two vectors")
+def _pair_arguments(p) -> None:
     p.add_argument("--v", required=True, help="vector r,c,s")
     p.add_argument("--u", required=True, help="vector r,c,s")
     p.add_argument("--c2", type=int, required=True, help="C^2 of the NS generator")
     p.set_defaults(handler=cmd_pair)
 
-    p = sub.add_parser("square", parents=[shared], help="Mukai self-pairing")
+
+def _square_arguments(p) -> None:
     p.add_argument("--v", required=True, help="vector r,c,s")
     p.add_argument("--c2", type=int, required=True)
     p.set_defaults(handler=cmd_square)
 
-    p = sub.add_parser(
-        "isotropic", parents=[shared], help="isotropic divisor classes on Hilb^g"
-    )
+
+def _isotropic_arguments(p) -> None:
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--bound", type=int, default=10)
     p.set_defaults(handler=cmd_isotropic)
 
-    p = sub.add_parser(
-        "dual", parents=[shared], help="dual-surface data and constraint family"
-    )
+
+def _dual_arguments(p) -> None:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k-min", type=int, default=-2, dest="k_min")
     p.add_argument("--k-max", type=int, default=2, dest="k_max")
     p.set_defaults(handler=cmd_dual)
 
-    p = sub.add_parser(
-        "criterion", parents=[shared], help="search isotropic classes orthogonal to v"
-    )
+
+def _criterion_arguments(p) -> None:
     p.add_argument("--v", help="vector r,c,s (defaults to (1, 0, 1-g))")
     p.add_argument("--c2", type=int)
     p.add_argument("--g", type=int)
@@ -572,14 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=5)
     p.set_defaults(handler=cmd_criterion)
 
-    p = sub.add_parser(
-        "equiv",
-        parents=[shared],
-        help="GL2(Z)-equivalence of two quadratic forms",
-        epilog=(
-            "Forms are symmetric Gram matrices m11,m12,m22; the content "
-            "invariant is the gcd of the Gram entries."
-        ),
+
+def _equiv_arguments(p) -> None:
+    p.epilog = (
+        "Forms are symmetric Gram matrices m11,m12,m22; the content "
+        "invariant is the gcd of the Gram entries."
     )
     p.add_argument("--f1", help="form m11,m12,m22")
     p.add_argument("--f2", help="form m11,m12,m22")
@@ -592,19 +584,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_equiv)
 
-    p = sub.add_parser(
-        "verify-paper", parents=[shared], help="run the full verification ledger"
-    )
+
+def _verify_paper_arguments(p) -> None:
     p.add_argument("--g", type=int, help="restrict the grid to one g")
     p.add_argument("--n", type=int, help="restrict the grid to one n")
     p.set_defaults(handler=cmd_verify_paper)
 
-    p = sub.add_parser("census", parents=[shared], help="one row per (g, n)")
+
+def _census_arguments(p) -> None:
     p.add_argument("--g-max", type=int, default=10, dest="g_max")
     p.add_argument("--n-max", type=int, default=10, dest="n_max")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_census)
 
+
+# name -> (line in `--help`, function that adds the subcommand's own arguments)
+_SUBCOMMANDS = {
+    "pair": ("Mukai pairing of two vectors", _pair_arguments),
+    "square": ("Mukai self-pairing", _square_arguments),
+    "isotropic": ("isotropic divisor classes on Hilb^g", _isotropic_arguments),
+    "dual": ("dual-surface data and constraint family", _dual_arguments),
+    "criterion": ("search isotropic classes orthogonal to v", _criterion_arguments),
+    "equiv": ("GL2(Z)-equivalence of two quadratic forms", _equiv_arguments),
+    "verify-paper": ("run the full verification ledger", _verify_paper_arguments),
+    "census": ("one row per (g, n)", _census_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with `command`'s subparser alone."""
+    parser = argparse.ArgumentParser(
+        prog="k3mukai",
+        description="Exact Mukai-lattice arithmetic for K3 surfaces",
+    )
+    # the lean usage line, printed with top-level errors, still lists every name
+    lean = {} if command is None else {"metavar": "{" + ",".join(_SUBCOMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **lean)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        help_line, add_arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument(
+            "--json", action="store_true", help="emit newline-delimited JSON records"
+        )
+        add_arguments(p)
     return parser
 
 
@@ -629,9 +651,10 @@ def _join_negative_lists(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_join_negative_lists(argv))
+    argv = _join_negative_lists(sys.argv[1:] if argv is None else argv)
+    # --help, a missing or unknown command, or a leading flag need every subparser
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         records, code = args.handler(args)
     except (UsageError, ValueError) as exc:

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, determinism, JSON schema."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,15 @@ import sys
 import pytest
 
 import k3mukai.checks
-from k3mukai.cli import DUAL_K_SPAN_MAX, ReportRecord, build_parser, main, ledger_checks
+from k3mukai.cli import (
+    CENSUS_GRID_MAX,
+    DUAL_K_SPAN_MAX,
+    EQUIV_BOUND_MAX,
+    ReportRecord,
+    build_parser,
+    ledger_checks,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +180,22 @@ class TestEquiv:
         code, _, err = run_cli(capsys, "equiv", "--g", "2")
         assert code == 2
 
+    def test_bound_at_cap(self, capsys):
+        assert EQUIV_BOUND_MAX == 25
+        # different determinants: the invariants answer before any search
+        code, out, _ = run_cli(
+            capsys, "equiv", "--f1", "1,0,1", "--f2", "1,0,2", "--bound", "25", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["outputs"]["certificate"] == "determinant"
+
+    def test_bound_above_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "equiv", "--f1", "1,0,1", "--f2", "1,0,2", "--bound", "26"
+        )
+        assert (code, out) == (2, "")
+        assert "at most 25" in err
+
 
 class TestVerifyPaper:
     def test_motivating_record_present(self, capsys):
@@ -230,6 +255,20 @@ class TestCensus:
         ]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("flag", ["--g-max", "--n-max"])
+    def test_grid_side_at_cap(self, capsys, flag):
+        assert CENSUS_GRID_MAX == 100
+        other = "--n-max" if flag == "--g-max" else "--g-max"
+        code, out, _ = run_cli(capsys, "census", flag, "100", other, "2", "--json")
+        assert code == 0
+        assert len(out.splitlines()) == 99
+
+    @pytest.mark.parametrize("flag", ["--g-max", "--n-max"])
+    def test_grid_side_above_cap(self, capsys, flag):
+        code, out, err = run_cli(capsys, "census", flag, "101")
+        assert (code, out) == (2, "")
+        assert "at most 100" in err
+
     def test_parallel_matches_serial(self, capsys):
         _, serial, _ = run_cli(capsys, "census", "--g-max", "5", "--n-max", "5")
         _, parallel, _ = run_cli(
@@ -278,6 +317,28 @@ class TestDeterminism:
 
 
 class TestParser:
+    @staticmethod
+    def registered(parser):
+        (action,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        return list(action.choices)
+
+    def test_lean_parser_registers_only_its_subcommand(self):
+        assert self.registered(build_parser("pair")) == ["pair"]
+        assert self.registered(build_parser()) == [
+            "pair", "square", "isotropic", "dual", "criterion", "equiv",
+            "verify-paper", "census",
+        ]
+
+    def test_import_leaves_thread_pool_unloaded(self):
+        # the pool is imported only when census runs with --jobs above 1
+        probe = "import sys, k3mukai.cli; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "False\n"
+
     def test_all_subcommands_registered(self):
         parser = build_parser()
         text = parser.format_help()

@@ -3,6 +3,10 @@
 The files under tests/golden/ and the digests below hold the CLI's output,
 so any change in what it prints shows up here.  A deliberate output change
 regenerates the file and says why in CHANGES.md.
+
+The parser goldens under tests/golden/parser/ pin argparse's own output:
+help text and usage errors, with the exit code.  argparse wraps that text
+to the terminal width, so those cases run at COLUMNS=80.
 """
 
 import hashlib
@@ -59,6 +63,28 @@ TRANSCRIPTS = {
     ],
 }
 
+_PAIR = ["pair", "--v", "1,0,1", "--u", "1,0,1"]
+
+# name -> (argv, exit code); help prints to stdout, a usage error to stderr
+PARSER_CASES = {
+    "help": (["--help"], 0),
+    **{
+        f"help_{sub.replace('-', '_')}": ([sub, "--help"], 0)
+        for sub in (
+            "pair", "square", "isotropic", "dual", "criterion", "equiv",
+            "verify-paper", "census",
+        )
+    },
+    "no_command": ([], 2),
+    "unknown_command": (["bogus"], 2),
+    # a trailing argument is reported with the top-level usage line
+    "trailing_argument": (_PAIR + ["--c2", "2", "--bogus"], 2),
+    "bad_integer": (_PAIR + ["--c2", "x"], 2),
+    "missing_u": (["pair", "--v", "1,0,1", "--c2", "2"], 2),
+    # --json belongs to the subcommands, not to the top level
+    "json_before_command": (["--json"] + _PAIR + ["--c2", "2"], 2),
+}
+
 # full 2 <= g, n <= 10 ledger: 7,220 records, 1,144,271 bytes as NDJSON
 FULL_GRID_JSON_SHA256 = "af5bc0f8b3589253f909eccdb8bf95cdf8f91f9aa74368362a08725c8202f9b5"
 FULL_GRID_TABLE_SHA256 = "34b379d6622056284c7badc3641da4953f2236277274b23e8f318f7e36d5af32"
@@ -86,3 +112,18 @@ def test_transcript_matches(capsys, name):
 def test_full_grid_digest(capsys, argv, digest):
     out = stdout_of(capsys, argv).encode()
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_CASES))
+def test_parser_output_matches(capsys, monkeypatch, name):
+    argv, expected_code = PARSER_CASES[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    expected = (GOLDEN / "parser" / f"{name}.txt").read_text()
+    shown, silent = (
+        (captured.out, captured.err) if expected_code == 0 else (captured.err, captured.out)
+    )
+    assert exc.value.code == expected_code
+    assert (shown, silent) == (expected, "")
