@@ -36,6 +36,7 @@ from .dual_surface import (
     TransformConstraintFamily,
     build_dual,
     general_fibration_criterion,
+    member_gram,
     quotient_lattice,
     solve_transform_constraints,
     unit_pairing,

@@ -58,21 +58,13 @@ class BBLattice:
             raise ValueError("g must be at least 2")
 
     @property
-    def gram(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.c2, 0), (0, -2 * (self.g - 1)))
-
-    @property
-    def determinant(self) -> int:
-        return -2 * (self.g - 1) * self.c2
-
-    @property
     def form(self) -> QuadForm2:
         return QuadForm2(self.c2, 0, -2 * (self.g - 1))
 
 
 def bb_square(cls: BBClass, lat: BBLattice) -> int:
     """Beauville-Bogomolov square a^2 c2 - 2(g-1) b^2."""
-    return cls.a * cls.a * lat.c2 - 2 * (lat.g - 1) * cls.b * cls.b
+    return lat.form.value(cls.a, cls.b)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .dual_surface import member_gram
 from .mukai import MukaiVector, NSGram, square
 
 __all__ = [
@@ -80,24 +81,18 @@ def kernel_square(N: int, n: int, g: int, length: int) -> tuple[CheckResult, int
     """Square of the evaluation kernel N(n,E,l) - (0,D,-k) + (0,0,length).
 
     Claimed value -2N - 2Nn*length + 2(g-1); the raw route evaluates the
-    vector in the (D, E) lattice for two members of the constraint family,
-    checking on the way that the answer does not depend on the free
-    parameters k and l.  Also returns the largest N compatible with the
-    Bogomolov bound (square >= -2), namely g // (1 + n*length).
+    vector at the family member (k, l) = (0, 0), in its `member_gram`.  One
+    member settles every member: the square expands into N^2 times the
+    square of (n, +-E, l), -2N times `unit_pairing`, the square of
+    (0, D, k), and pairings with (0, 0, 1) that do not move with (k, l).
+    The first three are pairings the transform preserves, so `family_holds`
+    (the ledger's `transform_constraints` record) fixes them at 0, 1 and
+    2g - 2 for every integer (k, l).  Also returns the largest N compatible
+    with the Bogomolov bound (square >= -2), namely g // (1 + n*length).
     """
     _require(N >= 1 and n >= 2 and g >= 2 and length >= 0, "bad kernel arguments")
-    values = set()
-    for k, l in ((0, 0), (2, -1)):
-        de, e2 = 1 - n * k, 2 * n * l
-        dst = NSGram.rank_two(2 * g - 2, de, e2)
-        vec = (
-            N * MukaiVector(n, (0, 1), l)
-            - MukaiVector(0, (1, 0), -k)
-            + MukaiVector(0, (0, 0), length)
-        )
-        values.add(square(vec, dst))
-    assert len(values) == 1, "kernel square depends on the free parameters"
-    computed = values.pop()
+    vec = MukaiVector(N * n, (-1, N), length)  # the kernel class at k = l = 0
+    computed = square(vec, member_gram(g, n))
     claimed = -2 * N - 2 * N * n * length + 2 * (g - 1)
     n_max = g // (1 + n * length)
     result = _result(
@@ -126,14 +121,13 @@ def tensor_degree_check(g: int, n: int) -> CheckResult:
     """Degree n^2 D^2 of the twisted tensor product, against C^2.
 
     The raw route measures the class n*D against the polarization n*D in
-    the (D, E) lattice (the answer does not involve the unknown D.E or E^2
-    entries); the closed form is C^2 = 2(g-1)n^2 on the source side.
+    the `member_gram` of the family member (k, l) = (0, 0) (the answer does
+    not involve its D.E or E^2 entries); the closed form is
+    C^2 = 2(g-1)n^2 on the source side.
     """
     _require(g >= 2 and n >= 2, "need g >= 2 and n >= 2")
-    dst = NSGram.rank_two(2 * g - 2, 1, 0)  # family member with k = 0, l = 0
-    computed = dst.dot((n, 0), (n, 0))
-    claimed = NSGram.rank_one(2 * (g - 1) * n * n).entries[0][0]
-    return _result("tensor_degree", computed, claimed, g=g, n=n)
+    computed = member_gram(g, n).dot((n, 0), (n, 0))
+    return _result("tensor_degree", computed, 2 * (g - 1) * n * n, g=g, n=n)
 
 
 def brill_noether_data(g: int, n: int) -> tuple[int, int]:

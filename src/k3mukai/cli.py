@@ -58,7 +58,9 @@ __all__ = ["ReportRecord", "ledger_checks", "census_records", "main"]
 
 # Widest `dual` span k_max - k_min; the family has (span + 1)(2 span + 1) members.
 DUAL_K_SPAN_MAX = 40
-# Largest `census` --g-max or --n-max; the 100 x 100 grid takes about 1 s.
+# Largest `census` --g-max or --n-max (the 100 x 100 grid takes about 1 s)
+# and largest `verify-paper --g` (the ledger writes 10g + 1 kernel-square and
+# Picard-form records per (g, n)).
 CENSUS_GRID_MAX = 100
 # Largest `equiv --bound`; an undecided pair searches (2 bound + 1)^4 matrices.
 EQUIV_BOUND_MAX = 25
@@ -510,6 +512,8 @@ def cmd_equiv(args) -> tuple[list[ReportRecord], int]:
 def cmd_verify_paper(args) -> tuple[list[ReportRecord], int]:
     if args.g is not None:
         _require_at_least(args.g, 2, "--g")
+        if args.g > CENSUS_GRID_MAX:
+            raise UsageError(f"--g must be at most {CENSUS_GRID_MAX}")
     if args.n is not None:
         _require_at_least(args.n, 2, "--n")
     g_values = [args.g] if args.g is not None else range(2, 11)

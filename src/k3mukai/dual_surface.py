@@ -56,6 +56,7 @@ __all__ = [
     "family_holds",
     "verify_solution",
     "unit_pairing",
+    "member_gram",
     "general_fibration_criterion",
 ]
 
@@ -132,29 +133,28 @@ def quotient_lattice(w: MukaiVector, gram: NSGram) -> QuotientClass:
 def build_dual(g: int, n: int) -> DualSurfaceReport:
     """Dual-surface report for C^2 = 2(g-1)n^2, valid for g >= 2, n >= 2.
 
+    w, the source Gram, and the images of w and v = (1, 0, 1-g) come from
+    the transform table at the family member (k, l) = (0, 0).  The dual
+    polarization is the image of C + (C^2/n)(0,0,1) = w - n*v, negated:
+    -((0,0,1) - n*(0,D,k)) has middle component n*D whatever k is.
+    `quotient_lattice` rejects a w that is not primitive and isotropic.
+
     The n = 1 and n = 0 situations are classical (compactified Jacobian,
     elliptic K3) and are handled by `general_fibration_criterion` instead.
     """
     if g < 2 or n < 2:
         raise ValueError("build_dual requires g >= 2 and n >= 2")
-    gram = NSGram.rank_one(2 * (g - 1) * n * n)
-    w = MukaiVector(n, (1,), (g - 1) * n)
-    assert square(w, gram) == 0 and is_primitive(w)
+    gram, _, table = _transform_data(g, n, _member(n, 0, 0))
+    (w, w_image), (_, v_image), _ = table
     gerbe = fineness_gcd(w, Polarization((1,)), gram)
     quotient = quotient_lattice(w, gram)
-    # polarization on the dual side: the class C + (C^2/n)(0,0,1) equals
-    # w - n*(1,0,1-g), and its image -( (0,0,1) - n*(0,D,k) ) has middle
-    # component n*D whatever k is
-    image = MukaiVector(0, (0, 0), 1) - n * MukaiVector(0, (1, 0), 0)
-    polarization_multiple = -image.c[0]
-    assert polarization_multiple == n
     return DualSurfaceReport(
         w=w,
         d_square=quotient.square,
         gerbe_order=gerbe,
         base_dim=quotient.square // 2 + 1,
         fine=gerbe == 1,
-        polarization_dual=polarization_multiple,
+        polarization_dual=-(w_image - n * v_image).c[0],
     )
 
 
@@ -183,7 +183,7 @@ class TransformConstraintFamily:
 def _transform_data(g: int, n: int, sol: ConstraintSolution):
     """Source classes, their images, and the two Gram matrices."""
     src = NSGram.rank_one(2 * (g - 1) * n * n)
-    dst = NSGram.rank_two(2 * g - 2, sol.de, sol.e2)
+    dst = member_gram(g, n, sol)
     table = (
         (MukaiVector(n, (1,), (g - 1) * n), MukaiVector(0, (0, 0), 1)),
         (MukaiVector(1, (0,), 1 - g), MukaiVector(0, (1, 0), sol.k)),
@@ -209,7 +209,7 @@ def unit_pairing(g: int, n: int, sol: ConstraintSolution) -> int:
     The transform matches this against the pairing of (0, 0, 1) with
     -(1, 0, 1-g), so on the constraint family it must equal one.
     """
-    dst = NSGram.rank_two(2 * g - 2, sol.de, sol.e2)
+    dst = member_gram(g, n, sol)
     bundle = MukaiVector(n, (0, 1), sol.l)
     curve = MukaiVector(0, (1, 0), -sol.k)
     return pairing(bundle, curve, dst)
@@ -218,6 +218,13 @@ def unit_pairing(g: int, n: int, sol: ConstraintSolution) -> int:
 def _member(n: int, k: int, l: int) -> ConstraintSolution:
     """The family member at (k, l): de = 1 - n*k, e2 = 2*n*l."""
     return ConstraintSolution(k=k, l=l, de=1 - n * k, e2=2 * n * l)
+
+
+def member_gram(g: int, n: int, sol: ConstraintSolution | None = None) -> NSGram:
+    """(D, E) Gram [[2g - 2, de], [de, e2]] of `sol`, by default of the
+    family member `_member(n, 0, 0)`, looked up when called."""
+    sol = _member(n, 0, 0) if sol is None else sol
+    return NSGram.rank_two(2 * g - 2, sol.de, sol.e2)
 
 
 def family_holds(g: int, n: int) -> bool:

@@ -213,11 +213,11 @@ def equivalent(
 def gen_picard_determinant(c2: int) -> int:
     """Determinant of the rank-three generalized Picard lattice U + <c2>.
 
-    The hyperbolic plane U contributes determinant -1 symbolically, so the
-    result is -c2; comparing these determinants for C^2 = 2(g-1)n^2 against
-    D^2 = 2(g-1) is what rules out an untwisted equivalence of the two
-    surfaces.
+    A block sum multiplies determinants, so this is the determinant of the
+    hyperbolic plane U = [[0, 1], [1, 0]] times c2, that is -c2; comparing
+    these determinants for C^2 = 2(g-1)n^2 against D^2 = 2(g-1) is what
+    rules out an untwisted equivalence of the two surfaces.
     """
     if c2 <= 0 or c2 % 2:
         raise ValueError("c2 must be a positive even integer")
-    return -c2
+    return QuadForm2(0, 1, 0).determinant() * c2

@@ -65,10 +65,10 @@ class TestBBSquare:
 
 class TestBBLattice:
     def test_determinant(self):
-        assert BBLattice(8, 2).determinant == -16
+        assert BBLattice(8, 2).form.determinant() == -16
 
     def test_gram(self):
-        assert BBLattice(6, 4).gram == ((6, 0), (0, -6))
+        assert BBLattice(6, 4).form.gram() == ((6, 0), (0, -6))
 
     def test_rejects_odd_c2(self):
         with pytest.raises(ValueError):
@@ -210,7 +210,7 @@ class TestVperpGram:
         result = vperp_gram(MukaiVector(1, (0,), 1 - g), gram)
         assert result == ((c2, 0), (0, -2 * (g - 1)))
         det = result[0][0] * result[1][1] - result[0][1] * result[1][0]
-        assert det == BBLattice(c2, g).determinant
+        assert det == BBLattice(c2, g).form.determinant()
 
     def test_point_class(self):
         # frozen from the direct kernel computation: {r = 0} with basis (C, point)

@@ -62,6 +62,21 @@ class TestExtensionSquare:
                 assert result.computed == -2 * (n * g + 1) < -2
 
 
+def kernel_square_scan(N, n, g, length, members):
+    """Squares of the kernel class N(n,E,l) - (0,D,-k) + (0,0,length), built
+    by hand at each member (k, l) of the family de = 1 - nk, e2 = 2nl."""
+    values = set()
+    for k, l in members:
+        gram = NSGram.rank_two(2 * g - 2, 1 - n * k, 2 * n * l)
+        vec = (
+            N * MukaiVector(n, (0, 1), l)
+            - MukaiVector(0, (1, 0), -k)
+            + MukaiVector(0, (0, 0), length)
+        )
+        values.add(square(vec, gram))
+    return values
+
+
 class TestKernelSquare:
     def test_bogomolov_boundary_at_g(self):
         for n in (2, 3):
@@ -91,6 +106,18 @@ class TestKernelSquare:
         )
         result, _ = kernel_square(N, n, g, length)
         assert square(vec, gram) == result.computed
+
+    def test_one_member_matches_scan_of_family(self):
+        # the old raw route rebuilt the class by hand at each member; over a
+        # box of members it must give the one value the check reads at (0, 0)
+        members = [(k, l) for k in range(-3, 4) for l in range(-3, 4)]
+        for g in range(2, 7):
+            for n in range(2, 7):
+                for length in range(0, 3):
+                    for N in range(1, 2 * g + 1):
+                        result, _ = kernel_square(N, n, g, length)
+                        scanned = kernel_square_scan(N, n, g, length, members)
+                        assert scanned == {result.computed}
 
     def test_grid(self):
         for g in range(2, 21):

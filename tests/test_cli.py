@@ -1,11 +1,15 @@
 """Command-line behaviour: exit codes, determinism, JSON schema."""
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import k3mukai.checks
 from k3mukai.cli import (
@@ -223,6 +227,20 @@ class TestVerifyPaper:
         for line in out.splitlines():
             assert ReportRecord.from_json(line).to_json() == line
 
+    def test_g_at_cap(self, capsys):
+        assert CENSUS_GRID_MAX == 100
+        code, out, _ = run_cli(capsys, "verify-paper", "--g", "100", "--json")
+        assert code == 0
+        # the records that grow with g: 10g + 1 per n
+        checks = [json.loads(line)["inputs"]["check"] for line in out.splitlines()]
+        grown = checks.count("kernel_square") + checks.count("picard_form_inequivalence")
+        assert grown == 9 * (10 * 100 + 1)
+
+    def test_g_above_cap(self, capsys):
+        code, out, err = run_cli(capsys, "verify-paper", "--g", "101", "--n", "2")
+        assert (code, out) == (2, "")
+        assert "at most 100" in err
+
 
 class TestCensus:
     def test_single_row(self, capsys):
@@ -413,3 +431,60 @@ def test_ledger_checks_cover_every_advertised_check():
         "picard_form_inequivalence",
         "transform_constraints",
     }
+
+
+# flags each subcommand accepts; the fuzz below drops some of them, gives
+# them values of the wrong kind, and may add one that does not belong
+FUZZ_FLAGS = {
+    "pair": ("--v", "--u", "--c2"),
+    "square": ("--v", "--c2"),
+    "isotropic": ("--c2", "--g", "--bound"),
+    "dual": ("--g", "--n", "--k-min", "--k-max"),
+    "criterion": ("--v", "--c2", "--g", "--n", "--bound"),
+    "equiv": ("--f1", "--f2", "--g", "--n", "--d", "--bound"),
+    "verify-paper": ("--g", "--n"),
+    "census": ("--g-max", "--n-max"),
+}
+LIST_FLAGS = frozenset({"--v", "--u", "--f1", "--f2"})
+SMALL = st.integers(-3, 12).map(str)
+EDGE = st.sampled_from(["0", "-1", "25", "26", "40", "41", "100", "101", "10000000"])
+TRIPLES = st.tuples(*[st.integers(-4, 8)] * 3).map(lambda xs: ",".join(map(str, xs)))
+BAD_LISTS = st.sampled_from(["", "x", "1,2", "1,,2", "1,2,3,4", "0,0,0", "-3"])
+INT_VALUES = st.one_of(SMALL, SMALL, SMALL, SMALL, EDGE, EDGE, TRIPLES)
+LIST_VALUES = st.one_of(TRIPLES, TRIPLES, TRIPLES, BAD_LISTS, SMALL)
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from([*FUZZ_FLAGS, "bogus", "--json", "--help"]))
+    argv = [command]
+    for name in draw(st.permutations(FUZZ_FLAGS.get(command, ()))):
+        if draw(st.integers(0, 7)):
+            argv += [name, draw(LIST_VALUES if name in LIST_FLAGS else INT_VALUES)]
+    if draw(st.integers(0, 5)) == 0:
+        argv += [draw(st.sampled_from(["--v", "--g", "--bogus"])), draw(INT_VALUES)]
+    # --jobs starts threads, so it only takes small values
+    if command == "census" and draw(st.booleans()):
+        argv += ["--jobs", str(draw(st.integers(-3, 3)))]
+    if command == "equiv" and draw(st.booleans()):
+        argv.append("--proper")
+    if draw(st.booleans()):
+        argv.insert(draw(st.sampled_from([1, len(argv)])), "--json")
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(fuzz_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's own exit: --help or a usage error
+            assert exc.code in (0, 2)
+            return
+    assert code in (0, 1, 2)
+    if "--json" in argv:
+        for line in out.getvalue().splitlines():
+            json.loads(line)

@@ -3,12 +3,14 @@ oracle, the transform constraint family against an exhaustive box search,
 and the general fibration criterion against an independent search and
 against the cube scan it replaced."""
 
+import json
 import time
 from math import gcd, isqrt
 
 import pytest
 
 import k3mukai.dual_surface
+from k3mukai.cli import main
 from k3mukai.dual_surface import (
     ConstraintSolution,
     FibrationHit,
@@ -16,6 +18,7 @@ from k3mukai.dual_surface import (
     family_holds,
     family_ranges,
     general_fibration_criterion,
+    member_gram,
     quotient_lattice,
     solve_transform_constraints,
     unit_pairing,
@@ -248,6 +251,45 @@ class TestFamilyHolds:
         )
         with pytest.raises(AssertionError):
             solve_transform_constraints(3, 2, (-3, 3))
+
+
+class TestMemberGram:
+    def test_default_is_the_zero_member(self):
+        for g in range(2, 8):
+            for n in range(2, 8):
+                assert member_gram(g, n) == NSGram.rank_two(2 * g - 2, 1, 0)
+
+    def test_gram_of_a_given_member(self):
+        sol = ConstraintSolution(k=2, l=-1, de=-5, e2=-6)
+        assert member_gram(4, 3, sol).entries == ((6, -5), (-5, -6))
+
+    @pytest.mark.parametrize("name", sorted(PARAMETRIZATIONS))
+    def test_follows_a_patched_member(self, monkeypatch, name):
+        monkeypatch.setattr(k3mukai.dual_surface, "_member", PARAMETRIZATIONS[name])
+        sol = PARAMETRIZATIONS[name](3, 0, 0)
+        assert member_gram(4, 3).entries == ((6, sol.de), (sol.de, sol.e2))
+
+
+def failing_ledger_checks(capsys):
+    code = main(["verify-paper", "--g", "3", "--n", "2", "--json"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    return code, {r["inputs"]["check"] for r in records if not r["pass"]}
+
+
+class TestWrongFamilyReachesLedger:
+    def test_true_family_passes(self, capsys):
+        assert failing_ledger_checks(capsys) == (0, set())
+
+    @pytest.mark.parametrize("name", sorted(set(PARAMETRIZATIONS) - {"true"}))
+    def test_wrong_family_fails_verify_paper(self, capsys, monkeypatch, name):
+        monkeypatch.setattr(k3mukai.dual_surface, "_member", PARAMETRIZATIONS[name])
+        code, failing = failing_ledger_checks(capsys)
+        assert code == 1
+        # only `constant` moves the (0, 0) member the kernel check reads
+        expected = {"transform_constraints"}
+        if name == "constant":
+            expected.add("kernel_square")
+        assert failing == expected
 
 
 class TestGeneralFibrationCriterion:
