@@ -3,8 +3,8 @@
 Integer-exact tools for the lattice side of moduli of sheaves on a K3:
 Mukai vectors and their pairing, the Beauville-Bogomolov form on the
 Hilbert scheme of points, isotropic-class search (the numerical fibration
-criterion), the Mukai-dual surface's numeric data, and sound equivalence
-testing of integral binary quadratic forms.
+criterion), the Mukai-dual surface's numeric data, and an equivalence
+decision for integral binary quadratic forms by reduction.
 """
 
 from .bb import (
@@ -59,6 +59,7 @@ from .quadforms import (
     EquivalenceResult,
     PicardSchemeForm,
     QuadForm2,
+    canonical,
     equivalent,
     gen_picard_determinant,
     hilb_picard_form,

@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .bb import BBClass, BBLattice, bb_square, find_isotropic, fujiki_degree
 from .checks import (
@@ -62,8 +63,9 @@ DUAL_K_SPAN_MAX = 40
 # and largest `verify-paper --g` (the ledger writes 10g + 1 kernel-square and
 # Picard-form records per (g, n)).
 CENSUS_GRID_MAX = 100
-# Largest `equiv --bound`; an undecided pair searches (2 bound + 1)^4 matrices.
-EQUIV_BOUND_MAX = 25
+# Largest -det of `equiv` forms sharing a negative non-square determinant: their
+# cycle of reduced forms grows like sqrt(-det), to about 4,300 forms and 20 ms.
+EQUIV_DET_MAX = 10**6
 
 
 class UsageError(Exception):
@@ -248,7 +250,7 @@ def _point_checks(g: int, n: int) -> list[ReportRecord]:
     hilb = hilb_picard_form(g, n)
     for d in range(0, 4 * g + 1):
         scheme = picard_scheme_form(g, d)
-        verdict = equivalent(hilb, scheme.form, 1)
+        verdict = equivalent(hilb, scheme.form)
         add(
             "picard_form_inequivalence",
             {
@@ -481,8 +483,6 @@ def cmd_criterion(args) -> tuple[list[ReportRecord], int]:
 
 def cmd_equiv(args) -> tuple[list[ReportRecord], int]:
     _require_at_least(args.bound, 1, "--bound")
-    if args.bound > EQUIV_BOUND_MAX:
-        raise UsageError(f"--bound must be at most {EQUIV_BOUND_MAX}")
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
             raise UsageError("--f1 and --f2 must be given together")
@@ -498,7 +498,10 @@ def cmd_equiv(args) -> tuple[list[ReportRecord], int]:
         f1 = hilb_picard_form(args.g, args.n)
         f2 = picard_scheme_form(args.g, args.d).form
         inputs = {"g": args.g, "n": args.n, "d": args.d, "bound": args.bound}
-    result = equivalent(f1, f2, args.bound, proper=args.proper)
+    det = f1.determinant()
+    if det == f2.determinant() < -EQUIV_DET_MAX and isqrt(-det) ** 2 != -det:
+        raise UsageError(f"a shared non-square det must be at least -{EQUIV_DET_MAX}")
+    result = equivalent(f1, f2, proper=args.proper)
     outputs = {} if "f1" in inputs else {"f1": f1, "f2": f2}
     outputs["verdict"] = result.verdict
     if result.certificate is not None:

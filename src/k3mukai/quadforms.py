@@ -1,18 +1,18 @@
-"""Integral binary quadratic forms and sound GL2(Z)-equivalence testing.
+"""Integral binary quadratic forms and a GL2(Z)-equivalence decision.
 
 Forms are symmetric integer Gram matrices [[m11, m12], [m12, m22]] acting as
-f(x, y) = m11 x^2 + 2 m12 x y + m22 y^2.  Equivalence testing is sound but
-deliberately incomplete: invariants (determinant first) certify
-non-equivalence, a bounded unimodular search certifies equivalence, and
-everything else is reported as undecided rather than guessed.  For the
-Picard-lattice comparison this package exists for, the determinant always
-settles the question.
+f(x, y) = m11 x^2 + 2 m12 x y + m22 y^2.  Equivalence is decided, not
+searched: invariants (determinant first) certify most non-equivalence, and
+otherwise both forms are reduced to the canonical form of their class
+(Gauss reduction, the cycle of reduced indefinite forms, or an isotropic
+line moved to (1, 0)); equal canonical forms give a witness, different ones
+certify non-equivalence.  For the Picard-lattice comparison this package
+exists for, the determinant always settles the question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -22,6 +22,7 @@ __all__ = [
     "EquivalenceResult",
     "hilb_picard_form",
     "picard_scheme_form",
+    "canonical",
     "equivalent",
     "gen_picard_determinant",
     "isotropic_lines",
@@ -147,67 +148,142 @@ _INVARIANTS = (
 )
 
 
-def _iter_unimodular(bound: int, proper: bool):
-    """2x2 integer matrices with |entries| <= bound and det +-1 (det 1 when
-    proper), in lexicographic order of (a, b, c, d)."""
-    rng = range(-bound, bound + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    det = a * d - b * c
-                    if det == 1 or (not proper and det == -1):
-                        yield ((a, b), (c, d))
+Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 
-@lru_cache(maxsize=32)
-def _small_unimodular(bound: int, proper: bool):
-    return tuple(_iter_unimodular(bound, proper))
+def _mul(u: Matrix, v: Matrix) -> Matrix:
+    (a, b), (c, d) = u
+    (e, f), (g, h) = v
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _unimodular_matrices(bound: int, proper: bool):
-    # materializing large boxes would cost (2*bound+1)^4 memory
-    if bound <= 6:
-        return _small_unimodular(bound, proper)
-    return _iter_unimodular(bound, proper)
+def _complete(x: int, y: int) -> Matrix:
+    """A determinant-1 matrix whose first column is the coprime pair (x, y)."""
+    if y == 0:
+        return ((x, 0), (0, x))
+    s = pow(x, -1, abs(y))
+    return ((x, (x * s - 1) // y), (y, s))
+
+
+def _rho(f: tuple[int, int, int], w: int) -> tuple[tuple[int, int, int], int]:
+    """One reduction step (a, b, c) -> (c, r, .) of an indefinite form with
+    b^2 - ac = D not a square and w = isqrt(D), through ((0, -1), (1, s)):
+    r = -b mod |c|, in (-|c|/2, |c|/2] when |c| > 2 sqrt(D), else in
+    (sqrt(D) - |c|, sqrt(D))."""
+    a, b, c = f
+    m = abs(c)
+    top = w if m * m < 4 * (b * b - a * c) else m // 2
+    r = top - (top + b) % m
+    return (c, r, (r * r - b * b + a * c) // c), (r + b) // c
+
+
+def _proper_canonical(f: QuadForm2) -> tuple[tuple[int, int, int], Matrix]:
+    """The least reduced form of f's SL2(Z) class and a det-1 U onto it."""
+    a, b, c = f.m11, f.m12, f.m22
+    det = a * c - b * b
+    u = ((1, 0), (0, 1))
+    if det > 0:
+        # Gauss reduction of the positive definite sign(a) f:
+        # |2b| <= a <= c, with b >= 0 when 2|b| = a or a = c
+        sign = 1 if a > 0 else -1
+        a, b, c = sign * a, sign * b, sign * c
+        while True:
+            k = (a - 2 * b) // (2 * a)
+            b, c = b + k * a, c + k * (2 * b + k * a)
+            u = _mul(u, ((1, k), (0, 1)))
+            if a < c or (a == c and b >= 0):
+                return (sign * a, sign * b, sign * c), u
+            a, b, c = c, -b, a
+            u = _mul(u, ((0, -1), (1, 0)))
+    if det == 0:
+        # f = k (linear form)^2: send the kernel line to (1, 0), giving (0, 0, k)
+        x, y = (-b, a) if a else (1, 0)
+        u = _complete(x // gcd(x, y), y // gcd(x, y))
+        return (0, 0, f.transform(u).m22), u
+    w = isqrt(-det)
+    if w * w == -det:
+        # send each isotropic line to (1, 0): (0, +-w, c) with c mod 2w free
+        found = []
+        for x, y in isotropic_lines(f):
+            u = _complete(x, y)
+            moved = f.transform(u)
+            m22 = moved.m22 % (2 * w)
+            k = (m22 - moved.m22) // (2 * moved.m12)
+            found.append(((0, moved.m12, m22), _mul(u, ((1, k), (0, 1)))))
+        return min(found)
+    # non-square: reduce to |sqrt(D) - |a|| < b < sqrt(D), walk the cycle of
+    # reduced forms on the forms alone, then replay it up to the least form
+    f = (a, b, c)
+    while not (0 < f[1] <= w and abs(f[0]) - f[1] <= w < abs(f[0]) + f[1]):
+        f, s = _rho(f, w)
+        u = _mul(u, ((0, -1), (1, s)))
+    cycle, walked = [f], _rho(f, w)[0]
+    while walked != f:
+        cycle.append(walked)
+        walked = _rho(walked, w)[0]
+    for _ in range(cycle.index(min(cycle))):
+        f, s = _rho(f, w)
+        u = _mul(u, ((0, -1), (1, s)))
+    return f, u
+
+
+def canonical(f: QuadForm2, proper: bool = False) -> tuple[QuadForm2, Matrix]:
+    """A canonical form of f's GL2(Z) class (SL2(Z) when proper) and a
+    unimodular U with f.transform(U) equal to it.
+
+    Within an SL2(Z) class: the Gauss-reduced form when definite, the least
+    of the two forms (0, +-t, c mod 2t) that put an isotropic line at (1, 0)
+    when -det = t^2, the least form on the cycle of reduced forms when -det
+    is positive and not a square, and (0, 0, k) when det = 0.  A GL2(Z)
+    class is two SL2(Z) classes, f's and its mirror's; take the lesser.
+    """
+    found = [_proper_canonical(f)]
+    if not proper:
+        form, ((a, b), (c, d)) = _proper_canonical(QuadForm2(f.m11, -f.m12, f.m22))
+        found.append((form, ((a, b), (-c, -d))))
+    form, u = min(found)
+    return QuadForm2(*form), u
 
 
 @dataclass(frozen=True)
 class EquivalenceResult:
-    """Sound three-valued answer to a GL2(Z)-equivalence question.
+    """Decided answer to a GL2(Z)- or SL2(Z)-equivalence question.
 
-    `equivalent` carries a witness basis change, `not_equivalent` carries
-    the name and values of the separating invariant, and `undecided` means
-    the invariants agree but no witness was found within the search bound.
+    `equivalent` carries a witness basis change; `not_equivalent` carries
+    the name and values of the separating invariant, or `reduced_form` and
+    the two differing canonical forms.
     """
 
     verdict: str
     certificate: str | None = None
     values: tuple | None = None
-    witness: tuple[tuple[int, int], tuple[int, int]] | None = None
+    witness: Matrix | None = None
 
 
-def equivalent(
-    f1: QuadForm2, f2: QuadForm2, search_bound: int, proper: bool = False
-) -> EquivalenceResult:
-    """Decide GL2(Z)-equivalence (SL2(Z) when proper=True), soundly.
+def equivalent(f1: QuadForm2, f2: QuadForm2, proper: bool = False) -> EquivalenceResult:
+    """Decide GL2(Z)-equivalence (SL2(Z) when proper=True).
 
-    Invariants are checked first, determinant foremost; if all agree, a
-    lexicographic search over unimodular matrices with entries bounded by
-    search_bound looks for a witness U with U^T f1 U = f2.
+    Invariants are checked first, determinant foremost; if all agree, the
+    canonical forms decide, and equal ones give the witness U1 U2^-1 with
+    U^T f1 U = f2, re-checked by `transform`.
     """
-    if search_bound < 1:
-        raise ValueError("search bound must be at least 1")
     for name, invariant in _INVARIANTS:
         left, right = invariant(f1), invariant(f2)
         if left != right:
             return EquivalenceResult(
                 "not_equivalent", certificate=name, values=(left, right)
             )
-    for u in _unimodular_matrices(search_bound, proper):
-        if f1.transform(u) == f2:
-            return EquivalenceResult("equivalent", witness=u)
-    return EquivalenceResult("undecided")
+    (form1, u1), (form2, u2) = canonical(f1, proper), canonical(f2, proper)
+    if form1 != form2:
+        return EquivalenceResult(
+            "not_equivalent", certificate="reduced_form", values=(form1, form2)
+        )
+    (a, b), (c, d) = u2
+    e = a * d - b * c  # +-1, so U2^-1 is e times the adjugate
+    witness = _mul(u1, ((e * d, -e * b), (-e * c, e * a)))
+    if f1.transform(witness) != f2:
+        raise AssertionError(f"witness {witness} does not map {f1} to {f2}")
+    return EquivalenceResult("equivalent", witness=witness)
 
 
 def gen_picard_determinant(c2: int) -> int:

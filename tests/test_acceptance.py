@@ -82,7 +82,7 @@ def test_criterion_quadform_sweep():
             hilb = hilb_picard_form(g, n)
             for d in range(0, 4 * g + 1):
                 scheme = picard_scheme_form(g, d)
-                result = equivalent(hilb, scheme.form, 1)
+                result = equivalent(hilb, scheme.form)
                 assert result.verdict == "not_equivalent"
                 assert result.certificate == "determinant"
                 expected = (-4 * (g - 1) ** 2 * n * n, -scheme.a0 * scheme.a0)
@@ -208,7 +208,7 @@ def test_criterion_property_suites():
     for _ in range(CASES):
         f = random_form()
         u = random_unimodular(2)
-        result = equivalent(f, f.transform(u), 2)
+        result = equivalent(f, f.transform(u))
         assert result.verdict == "equivalent"
         rediscovered += 1
     announce(

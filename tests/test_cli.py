@@ -15,7 +15,7 @@ import k3mukai.checks
 from k3mukai.cli import (
     CENSUS_GRID_MAX,
     DUAL_K_SPAN_MAX,
-    EQUIV_BOUND_MAX,
+    EQUIV_DET_MAX,
     ReportRecord,
     build_parser,
     ledger_checks,
@@ -184,21 +184,54 @@ class TestEquiv:
         code, _, err = run_cli(capsys, "equiv", "--g", "2")
         assert code == 2
 
-    def test_bound_at_cap(self, capsys):
-        assert EQUIV_BOUND_MAX == 25
-        # different determinants: the invariants answer before any search
+    @pytest.mark.parametrize("bound", ["26", "1000000"])
+    def test_bound_has_no_effect(self, capsys, bound):
+        # --bound is accepted and echoed, but no search depends on it
+        for forms in (["1,0,14", "2,0,7"], ["1,0,-14", "2,0,-7"], ["3,1,5", "3,-1,5"]):
+            argv = ["equiv", "--f1", forms[0], "--f2", forms[1], "--json"]
+            code, out, _ = run_cli(capsys, *argv, "--bound", bound)
+            _, base, _ = run_cli(capsys, *argv, "--bound", "1")
+            record, expected = json.loads(out), json.loads(base)
+            assert code == 0
+            assert record["inputs"].pop("bound") == int(bound)
+            assert expected["inputs"].pop("bound") == 1
+            assert record == expected
+
+    def test_non_square_determinant_at_cap(self, capsys):
+        assert EQUIV_DET_MAX == 10**6
+        # -det = 999,769 is not a square and has a cycle of 4,306 reduced
+        # forms; the witness entries run to about 800 digits
         code, out, _ = run_cli(
-            capsys, "equiv", "--f1", "1,0,1", "--f2", "1,0,2", "--bound", "25", "--json"
+            capsys, "equiv", "--f1", "1,0,-999769", "--f2", "-1968,979,21", "--json"
         )
         assert code == 0
-        assert json.loads(out)["outputs"]["certificate"] == "determinant"
+        record = json.loads(out)
+        assert record["outputs"]["verdict"] == "equivalent"
+        code, out, _ = run_cli(
+            capsys, "equiv", "--f1", "1,0,-999999", "--f2", "2,1,-499999", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["outputs"]["certificate"] == "reduced_form"
 
-    def test_bound_above_cap(self, capsys):
+    def test_non_square_determinant_above_cap(self, capsys):
         code, out, err = run_cli(
-            capsys, "equiv", "--f1", "1,0,1", "--f2", "1,0,2", "--bound", "26"
+            capsys, "equiv", "--f1", "1,0,-1000001", "--f2", "-1,0,1000001"
         )
         assert (code, out) == (2, "")
-        assert "at most 25" in err
+        assert f"-{EQUIV_DET_MAX}" in err
+
+    def test_uncapped_inputs(self, capsys):
+        # a square -det, a definite pair and a determinant-separated pair are
+        # each decided without a cycle walk, whatever their size
+        for f1, f2, verdict in [
+            ("1,0,-1002001", "-1,0,1002001", "not_equivalent"),
+            ("1,0,-1002001", "1,1001,0", "equivalent"),
+            ("1000000007,3,1000000009", "1000000009,-3,1000000007", "equivalent"),
+            ("1000000000,1,-1000000000", "1000000000,2,-1000000000", "not_equivalent"),
+        ]:
+            code, out, _ = run_cli(capsys, "equiv", "--f1", f1, "--f2", f2, "--json")
+            assert code == 0
+            assert json.loads(out)["outputs"]["verdict"] == verdict
 
 
 class TestVerifyPaper:

@@ -1,15 +1,17 @@
-"""Quadratic form construction and the sound equivalence decision."""
+"""Quadratic form construction and the equivalence decision by reduction."""
 
 import random
-from math import gcd
+import time
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from k3mukai.mukai import MukaiVector, NSGram, pairing
 from k3mukai.quadforms import (
     QuadForm2,
+    canonical,
     equivalent,
     gen_picard_determinant,
     hilb_picard_form,
@@ -165,15 +167,46 @@ def random_unimodular(rng, bound):
             return ((a, b), (c, d))
 
 
+def det2(u):
+    (a, b), (c, d) = u
+    return a * d - b * c
+
+
+def iter_unimodular(bound, proper):
+    """2x2 integer matrices with |entries| <= bound and det +-1 (det 1 when
+    proper), in lexicographic order of (a, b, c, d): the bounded witness
+    search that `equivalent` used before reduction, kept as an oracle."""
+    rng = range(-bound, bound + 1)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                for d in rng:
+                    det = a * d - b * c
+                    if det == 1 or (not proper and det == -1):
+                        yield ((a, b), (c, d))
+
+
+# Same-genus pairs of positive definite forms, as in perfbench/workloads.py:
+# every invariant agrees, yet both members are Gauss-reduced and distinct.
+SAME_GENUS_PAIRS = (
+    ((1, 0, 14), (2, 0, 7)),
+    ((1, 0, 9), (2, 1, 5)),
+    ((1, 0, 11), (3, 1, 4)),
+    ((2, 1, 8), (4, 1, 4)),
+    ((1, 0, 21), (5, 2, 5)),
+    ((3, 1, 14), (6, 1, 7)),
+)
+
+
 class TestEquivalent:
     def test_self_equivalence(self):
         f = hilb_picard_form(2, 2)
-        result = equivalent(f, f, 1)
+        result = equivalent(f, f)
         assert result.verdict == "equivalent"
         assert result.witness is not None
 
     def test_picard_families_not_equivalent(self):
-        result = equivalent(hilb_picard_form(2, 2), picard_scheme_form(2, 2).form, 10)
+        result = equivalent(hilb_picard_form(2, 2), picard_scheme_form(2, 2).form)
         assert result.verdict == "not_equivalent"
         assert result.certificate == "determinant"
         assert result.values == (-16, -4)
@@ -183,58 +216,170 @@ class TestEquivalent:
         f = QuadForm2(4, 1, -6)
         for _ in range(60):
             u = random_unimodular(rng, 3)
-            result = equivalent(f, f.transform(u), 3)
+            result = equivalent(f, f.transform(u))
             assert result.verdict == "equivalent"
             # the witness actually conjugates f1 into f2
             assert f.transform(result.witness) == f.transform(u)
 
     def test_content_certificate(self):
-        result = equivalent(QuadForm2(1, 0, 8), QuadForm2(2, 0, 4), 3)
+        result = equivalent(QuadForm2(1, 0, 8), QuadForm2(2, 0, 4))
         assert result.verdict == "not_equivalent"
         assert result.certificate == "content"
 
     def test_definiteness_certificate(self):
-        result = equivalent(QuadForm2(2, 1, 2), QuadForm2(-2, 1, -2), 3)
+        result = equivalent(QuadForm2(2, 1, 2), QuadForm2(-2, 1, -2))
         assert result.verdict == "not_equivalent"
         assert result.certificate == "definiteness"
 
     def test_residue_certificate(self):
         # same determinant, content, and definiteness; the represented
         # residues differ (one form is even-valued, the other is not)
-        result = equivalent(QuadForm2(2, 1, 2), QuadForm2(1, 0, 3), 4)
+        result = equivalent(QuadForm2(2, 1, 2), QuadForm2(1, 0, 3))
         assert result.verdict == "not_equivalent"
         assert result.certificate == "residues mod 4"
 
-    def test_undecided_same_genus_pair(self):
+    def test_same_genus_pair_separated_by_reduction(self):
         # classically inequivalent but in the same genus, so every
-        # congruence invariant agrees and a bounded search cannot decide
-        result = equivalent(QuadForm2(1, 0, 14), QuadForm2(2, 0, 7), 5)
-        assert result.verdict == "undecided"
+        # congruence invariant agrees; the reduced forms differ
+        result = equivalent(QuadForm2(1, 0, 14), QuadForm2(2, 0, 7))
+        assert result.verdict == "not_equivalent"
+        assert result.certificate == "reduced_form"
+        assert result.values == (QuadForm2(1, 0, 14), QuadForm2(2, 0, 7))
 
     def test_proper_flag_restricts_witnesses(self):
         # (3, 1, 5) is strictly reduced, so its mirror image is equivalent
         # only through an orientation-reversing basis change
         f = QuadForm2(3, 1, 5)
         mirrored = f.transform(((1, 0), (0, -1)))
-        improper = equivalent(f, mirrored, 3)
+        improper = equivalent(f, mirrored)
         assert improper.verdict == "equivalent"
-        (a, b), (c, d) = improper.witness
-        assert a * d - b * c == -1
-        proper = equivalent(f, mirrored, 3, proper=True)
-        assert proper.verdict == "undecided"
-
-    def test_bound_validated(self):
-        with pytest.raises(ValueError):
-            equivalent(QuadForm2(2, 0, 2), QuadForm2(2, 0, 2), 0)
+        assert det2(improper.witness) == -1
+        proper = equivalent(f, mirrored, proper=True)
+        assert proper.verdict == "not_equivalent"
+        assert proper.certificate == "reduced_form"
+        assert proper.values == (f, mirrored)
 
     def test_picard_sweep_certified_by_determinant(self):
         for g in range(2, 11):
             hilb = hilb_picard_form(g, 3)
             for d in range(0, 4 * g + 1):
                 scheme = picard_scheme_form(g, d)
-                result = equivalent(hilb, scheme.form, 2)
+                result = equivalent(hilb, scheme.form)
                 assert result.verdict == "not_equivalent"
                 assert result.certificate == "determinant"
+
+    @pytest.mark.parametrize("pair", SAME_GENUS_PAIRS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_same_genus_pairs_not_equivalent(self, pair, sign):
+        rng = random.Random(sum(pair[0]) * sign)
+        f1, f2 = (QuadForm2(*(sign * x for x in f)).transform(random_unimodular(rng, 2))
+                  for f in pair)
+        for proper in (False, True):
+            result = equivalent(f1, f2, proper=proper)
+            assert result.verdict == "not_equivalent"
+            assert result.certificate == "reduced_form"
+
+    def test_indefinite_pair_beyond_old_search_bound(self):
+        # the old search answered undecided at every bound up to 5
+        f1, f2 = QuadForm2(1, 0, -14), QuadForm2(2, 0, -7)
+        assert all(f1.transform(u) != f2 for u in iter_unimodular(5, False))
+        result = equivalent(f1, f2)
+        assert result.verdict == "equivalent"
+        assert f1.transform(result.witness) == f2
+        assert max(abs(x) for row in result.witness for x in row) > 5
+
+    def test_large_definite_pair_is_fast(self):
+        f = QuadForm2(10**9 + 7, 123456789, 10**9 + 9)
+        g = f.transform(((3, 5), (4, 7)))
+        start = time.perf_counter()
+        same = equivalent(f, g)
+        apart = equivalent(f, QuadForm2(f.m11, f.m12 + 1, f.m22 + 1).transform(((1, 0), (1, 1))))
+        elapsed = time.perf_counter() - start
+        assert same.verdict == "equivalent" and f.transform(same.witness) == g
+        assert apart.verdict == "not_equivalent"
+        assert elapsed < 0.05, f"took {elapsed:.3f}s"
+
+    def test_matches_box_search(self):
+        # wherever the bound-4 search maps f1 to f2, reduction says
+        # equivalent; every witness is unimodular and passes transform
+        box = range(-4, 5)
+        forms = [QuadForm2(a, b, c) for a in box for b in box for c in box]
+        by_det = {}
+        for f in forms:
+            by_det.setdefault(f.determinant(), []).append(f)
+        for proper in (False, True):
+            matrices = list(iter_unimodular(4, proper))
+            misses = []
+            for f1 in forms:
+                reached = {f1.transform(u) for u in matrices}
+                for f2 in by_det[f1.determinant()]:
+                    result = equivalent(f1, f2, proper=proper)
+                    if result.verdict == "equivalent":
+                        assert det2(result.witness) in ((1,) if proper else (1, -1))
+                        assert f1.transform(result.witness) == f2
+                    elif f2 in reached:
+                        misses.append((f1, f2))
+            assert misses == [], (proper, misses[:5])
+
+
+class TestCanonical:
+    @pytest.mark.parametrize("proper", [False, True])
+    @pytest.mark.parametrize("f", [(3, 1, 5), (-3, 1, -5), (7, 10, 20), (2, -1, 2),
+                                   (1, 0, -14), (2, 0, -7), (-3, 5, 4), (8, 0, -2),
+                                   (0, -2, 2), (0, 3, 5), (0, 0, 0), (2, 2, 2),
+                                   (0, 0, -3), (4, -6, 9)])
+    def test_form_is_reached_by_unimodular_u(self, f, proper):
+        f = QuadForm2(*f)
+        form, u = canonical(f, proper)
+        assert f.transform(u) == form
+        assert det2(u) in ((1,) if proper else (1, -1))
+
+    def test_definite_form_is_gauss_reduced(self):
+        for f in [QuadForm2(7, 10, 20), QuadForm2(5, 4, 4), QuadForm2(9, -3, 2)]:
+            for proper in (False, True):
+                for sign in (1, -1):
+                    form, _ = canonical(QuadForm2(sign * f.m11, sign * f.m12, sign * f.m22), proper)
+                    a, b, c = sign * form.m11, sign * form.m12, sign * form.m22
+                    assert abs(2 * b) <= a <= c
+                    if 2 * abs(b) == a or a == c:
+                        assert b >= 0
+
+    def test_square_determinant_puts_a_line_at_one_zero(self):
+        for f in [QuadForm2(8, 0, -2), QuadForm2(4, 1, -6), QuadForm2(0, 3, 5)]:
+            t = isqrt(-f.determinant())
+            form, _ = canonical(f)
+            assert form.m11 == 0 and abs(form.m12) == t and 0 <= form.m22 < 2 * t
+
+    def test_degenerate_form(self):
+        assert canonical(QuadForm2(2, 2, 2))[0] == QuadForm2(0, 0, 2)
+        assert canonical(QuadForm2(-3, 6, -12))[0] == QuadForm2(0, 0, -3)
+        assert canonical(QuadForm2(0, 0, 0))[0] == QuadForm2(0, 0, 0)
+
+    def test_gl2_is_the_lesser_of_a_form_and_its_mirror(self):
+        f = QuadForm2(3, 1, 5)
+        assert canonical(f, proper=True)[0] == f
+        assert canonical(f)[0] == QuadForm2(3, -1, 5)
+
+
+form_entries = st.integers(min_value=-50, max_value=50)
+
+
+@given(form_entries, form_entries, form_entries,
+       st.sampled_from(list(iter_unimodular(5, False))))
+def test_canonical_is_a_class_invariant(m11, m12, m22, u):
+    f = QuadForm2(m11, m12, m22)
+    assume(f.determinant() != 0)
+    g = f.transform(u)
+    assert canonical(f)[0] == canonical(g)[0]
+    result = equivalent(f, g)
+    assert result.verdict == "equivalent"
+    assert f.transform(result.witness) == g
+    if det2(u) == 1:
+        assert canonical(f, proper=True)[0] == canonical(g, proper=True)[0]
+        proper = equivalent(f, g, proper=True)
+        assert proper.verdict == "equivalent"
+        assert det2(proper.witness) == 1
+        assert f.transform(proper.witness) == g
 
 
 entries = st.integers(min_value=-30, max_value=30)
