@@ -11,11 +11,10 @@ precisely when 2(g-1) C^2 is a perfect square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .hermite import kernel_of_functional
 from .mukai import MukaiVector, NSGram, is_primitive, pairing
 from .quadforms import QuadForm2, isotropic_lines
+from .value import Value
 
 __all__ = [
     "BBClass",
@@ -30,12 +29,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BBClass:
+class BBClass(Value):
     """Divisor class a*C + b*E in (C, E) coordinates."""
 
-    a: int
-    b: int
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __add__(self, other: "BBClass") -> "BBClass":
         return BBClass(self.a + other.a, self.b + other.b)
@@ -44,17 +43,15 @@ class BBClass:
         return f"({self.a}, {self.b})"
 
 
-@dataclass(frozen=True)
-class BBLattice:
+class BBLattice(Value):
     """Rank-two Beauville-Bogomolov lattice diag(c2, -2(g-1))."""
 
-    c2: int
-    g: int
-
-    def __post_init__(self):
-        if self.c2 <= 0 or self.c2 % 2:
+    def __init__(self, c2: int, g: int):
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "g", g)
+        if c2 <= 0 or c2 % 2:
             raise ValueError("c2 must be a positive even integer")
-        if self.g < 2:
+        if g < 2:
             raise ValueError("g must be at least 2")
 
     @property
@@ -67,13 +64,13 @@ def bb_square(cls: BBClass, lat: BBLattice) -> int:
     return lat.form.value(cls.a, cls.b)
 
 
-@dataclass(frozen=True)
-class IsotropicSearch:
+class IsotropicSearch(Value):
     """Primitive isotropic classes with 0 < a <= bound, plus the closed-form
     existence verdict for the unbounded problem."""
 
-    classes: tuple[BBClass, ...]
-    exists: bool
+    def __init__(self, classes: tuple[BBClass, ...], exists: bool):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "exists", exists)
 
 
 def isotropic_exists(lat: BBLattice) -> bool:

@@ -9,10 +9,9 @@ formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .dual_surface import member_gram
 from .mukai import MukaiVector, NSGram, square
+from .value import Value
 
 __all__ = [
     "CheckResult",
@@ -25,13 +24,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    computed: int
-    claimed: int
-    passed: bool
-    context: dict = field(default_factory=dict)
+class CheckResult(Value):
+    def __init__(self, name: str, computed: int, claimed: int, passed: bool,
+                 context: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "claimed", claimed)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "context", {} if context is None else context)
 
 
 def _result(name: str, computed: int, claimed: int, **context) -> CheckResult:

@@ -13,11 +13,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
+import io
 import re
 import sys
-from dataclasses import dataclass, is_dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .bb import BBClass, BBLattice, bb_square, find_isotropic, fujiki_degree
@@ -53,6 +51,7 @@ from .quadforms import (
     hilb_picard_form,
     picard_scheme_form,
 )
+from .value import Value
 
 __all__ = ["ReportRecord", "ledger_checks", "census_records", "main"]
 
@@ -66,6 +65,8 @@ CENSUS_GRID_MAX = 100
 # Largest -det of `equiv` forms sharing a negative non-square determinant: their
 # cycle of reduced forms grows like sqrt(-det), to about 4,300 forms and 20 ms.
 EQUIV_DET_MAX = 10**6
+# Largest `census --jobs`; each job is a thread, and the census is CPU-bound.
+CENSUS_JOBS_MAX = 8
 
 
 class UsageError(Exception):
@@ -74,13 +75,14 @@ class UsageError(Exception):
 
 def _encode(value):
     """JSON form of the values `json` cannot encode by itself."""
-    if is_dataclass(value):
-        # a dataclass instance's __dict__ holds its fields in declaration order
+    if isinstance(value, Value):
+        # a value's __dict__ holds its fields in `__init__` order
         return vars(value)
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, frozenset):
         return sorted(value)
+    from fractions import Fraction  # imported on first use: no output holds one yet
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
@@ -101,16 +103,23 @@ def _format_value(value) -> str:
     return str(value)
 
 
-@dataclass
-class ReportRecord:
-    """One reported computation; serializes losslessly to one JSON line."""
+class ReportRecord(Value):
+    """One reported computation; serializes losslessly to one JSON line.
+    Unlike the library's values a record is mutable, and so unhashable."""
 
-    command: str
-    inputs: dict
-    outputs: dict
-    passed: bool | None = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command: str, inputs: dict, outputs: dict,
+                 passed: bool | None = None):
+        self.command = command
+        self.inputs = inputs
+        self.outputs = outputs
+        self.passed = passed
 
     def to_json(self) -> str:
+        import json  # imported on first use: table output never needs it
         obj = {"command": self.command, "inputs": self.inputs, "outputs": self.outputs}
         if self.passed is not None:
             obj["pass"] = self.passed
@@ -118,6 +127,7 @@ class ReportRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ReportRecord":
+        import json
         obj = json.loads(line)
         return cls(obj["command"], obj["inputs"], obj["outputs"], obj.get("pass"))
 
@@ -530,6 +540,8 @@ def cmd_census(args) -> tuple[list[ReportRecord], int]:
     _require_at_least(args.g_max, 2, "--g-max")
     _require_at_least(args.n_max, 2, "--n-max")
     _require_at_least(args.jobs, 1, "--jobs")
+    if args.jobs > CENSUS_JOBS_MAX:
+        raise UsageError(f"--jobs must be at most {CENSUS_JOBS_MAX}")
     if max(args.g_max, args.n_max) > CENSUS_GRID_MAX:
         raise UsageError(f"--g-max and --n-max must be at most {CENSUS_GRID_MAX}")
     return census_records(args.g_max, args.n_max, jobs=args.jobs), 0
@@ -664,15 +676,17 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         records, code = args.handler(args)
+        # render all output first: an int past str()'s digit limit raises ValueError
+        if args.json:
+            text = "".join(record.to_json() + "\n" for record in records)
+        else:
+            out = io.StringIO()
+            _RENDERERS.get(args.command, _render_default)(records, out)
+            text = out.getvalue()
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        for record in records:
-            print(record.to_json())
-    else:
-        renderer = _RENDERERS.get(args.command, _render_default)
-        renderer(records, sys.stdout)
+    sys.stdout.write(text)
     return code
 
 

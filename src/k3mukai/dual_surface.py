@@ -26,7 +26,6 @@ pairing the transform preserves is affine in (k, l) along the family, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .bb import perp_basis
@@ -41,6 +40,7 @@ from .mukai import (
     pairing,
     square,
 )
+from .value import Value
 
 __all__ = [
     "DualSurfaceReport",
@@ -61,8 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DualSurfaceReport:
+class DualSurfaceReport(Value):
     """Bundle of dual-surface numerics for one (g, n).
 
     `d_ample_assumed` records a geometric input, not a computation: the
@@ -70,22 +69,24 @@ class DualSurfaceReport:
     number one.  No lattice-level test exists for it here.
     """
 
-    w: MukaiVector
-    d_square: int
-    gerbe_order: int
-    base_dim: int
-    fine: bool
-    polarization_dual: int
-    d_ample_assumed: bool = True
+    def __init__(self, w: MukaiVector, d_square: int, gerbe_order: int, base_dim: int,
+                 fine: bool, polarization_dual: int, d_ample_assumed: bool = True):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "d_square", d_square)
+        object.__setattr__(self, "gerbe_order", gerbe_order)
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "fine", fine)
+        object.__setattr__(self, "polarization_dual", polarization_dual)
+        object.__setattr__(self, "d_ample_assumed", d_ample_assumed)
 
 
-@dataclass(frozen=True)
-class QuotientClass:
+class QuotientClass(Value):
     """Generator of the rank-one quotient w-perp / Z.w and its square."""
 
-    generator_image: MukaiVector
-    square: int
-    primitive: bool
+    def __init__(self, generator_image: MukaiVector, square: int, primitive: bool):
+        object.__setattr__(self, "generator_image", generator_image)
+        object.__setattr__(self, "square", square)
+        object.__setattr__(self, "primitive", primitive)
 
 
 def _express_in_basis(
@@ -158,26 +159,27 @@ def build_dual(g: int, n: int) -> DualSurfaceReport:
     )
 
 
-@dataclass(frozen=True)
-class ConstraintSolution:
+class ConstraintSolution(Value):
     """One member of the transform constraint family.
 
     de is the intersection D.E and e2 the square E^2 in the symbolic
     rank-two lattice of the dual surface.
     """
 
-    k: int
-    l: int
-    de: int
-    e2: int
+    def __init__(self, k: int, l: int, de: int, e2: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "de", de)
+        object.__setattr__(self, "e2", e2)
 
 
-@dataclass(frozen=True)
-class TransformConstraintFamily:
-    g: int
-    n: int
-    equations: tuple[str, ...]
-    solutions: tuple[ConstraintSolution, ...]
+class TransformConstraintFamily(Value):
+    def __init__(self, g: int, n: int, equations: tuple[str, ...],
+                 solutions: tuple[ConstraintSolution, ...]):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "solutions", solutions)
 
 
 def _transform_data(g: int, n: int, sol: ConstraintSolution):
@@ -276,8 +278,7 @@ def solve_transform_constraints(
     return TransformConstraintFamily(g, n, equations, solutions)
 
 
-@dataclass(frozen=True)
-class FibrationHit:
+class FibrationHit(Value):
     """One primitive isotropic class orthogonal to v.
 
     Rank zero means the underlying K3 is elliptic and classical results
@@ -285,17 +286,19 @@ class FibrationHit:
     genus-g curve square and the gerbe order are reported.
     """
 
-    w: MukaiVector
-    branch: str
-    d_square: int | None = None
-    gerbe_order: int | None = None
+    def __init__(self, w: MukaiVector, branch: str, d_square: int | None = None,
+                 gerbe_order: int | None = None):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "d_square", d_square)
+        object.__setattr__(self, "gerbe_order", gerbe_order)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    v: MukaiVector
-    genus: int
-    hits: tuple[FibrationHit, ...]
+class CriterionReport(Value):
+    def __init__(self, v: MukaiVector, genus: int, hits: tuple[FibrationHit, ...]):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "hits", hits)
 
 
 def general_fibration_criterion(

@@ -15,10 +15,10 @@ function in this module is safe to call from concurrent threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from .value import Value
 
 __all__ = [
     "NSGram",
@@ -42,8 +42,7 @@ __all__ = [
 GRAM_CACHE_SIZE = 512
 
 
-@dataclass(frozen=True)
-class NSGram:
+class NSGram(Value):
     """Intersection Gram matrix of the Neron-Severi generators.
 
     Rank one covers a K3 whose Picard group is generated by a single curve
@@ -52,10 +51,8 @@ class NSGram:
     Neron-Severi lattice of a K3 is an even lattice.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        entries = tuple(tuple(int(x) for x in row) for row in entries)
         object.__setattr__(self, "entries", entries)
         k = len(entries)
         if k not in (1, 2):
@@ -95,19 +92,21 @@ class NSGram:
         )
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Value):
     """Element (r, c, s) of the algebraic Mukai lattice.
 
     `c` holds the NS coordinates (length 1 or 2).  Vectors form a Z-module;
     the operators below keep composite classes like N*a - b + c readable.
     """
 
-    r: int
-    c: tuple[int, ...]
-    s: int
+    def __init__(self, r: int, c: tuple[int, ...], s: int):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "s", s)
+        self.__post_init__()
 
     def __post_init__(self):
+        # a method of its own, so that a tracer can wrap it to count vectors built
         object.__setattr__(self, "c", tuple(int(x) for x in self.c))
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
@@ -154,14 +153,11 @@ class MukaiVector:
         return f"({self.r}, {middle}, {self.s})"
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(Value):
     """NS coordinates of the ample class used to measure degrees."""
 
-    h: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", tuple(int(x) for x in self.h))
+    def __init__(self, h: tuple[int, ...]):
+        object.__setattr__(self, "h", tuple(int(x) for x in h))
 
     def is_positive(self, gram: NSGram) -> bool:
         """An honest polarization has positive self-intersection."""
@@ -203,6 +199,7 @@ def is_primitive(v: MukaiVector) -> bool:
 
 def slope(v: MukaiVector, h: Polarization, gram: NSGram) -> Fraction:
     """Slope deg(v)/rank(v) with respect to h, as an exact rational."""
+    from fractions import Fraction  # imported on first use: the CLI never needs it
     if v.r == 0:
         raise ValueError("torsion class: slope is undefined for rank zero")
     return Fraction(gram.dot(v.c, h.h), v.r)

@@ -12,9 +12,10 @@ exists for, the determinant always settles the question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple
+
+from .value import Value
 
 __all__ = [
     "QuadForm2",
@@ -29,13 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadForm2:
+class QuadForm2(Value):
     """Symmetric 2x2 integer Gram matrix."""
 
-    m11: int
-    m12: int
-    m22: int
+    def __init__(self, m11: int, m12: int, m22: int):
+        object.__setattr__(self, "m11", m11)
+        object.__setattr__(self, "m12", m12)
+        object.__setattr__(self, "m22", m22)
 
     def determinant(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m12
@@ -245,8 +246,7 @@ def canonical(f: QuadForm2, proper: bool = False) -> tuple[QuadForm2, Matrix]:
     return QuadForm2(*form), u
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(Value):
     """Decided answer to a GL2(Z)- or SL2(Z)-equivalence question.
 
     `equivalent` carries a witness basis change; `not_equivalent` carries
@@ -254,10 +254,12 @@ class EquivalenceResult:
     the two differing canonical forms.
     """
 
-    verdict: str
-    certificate: str | None = None
-    values: tuple | None = None
-    witness: Matrix | None = None
+    def __init__(self, verdict: str, certificate: str | None = None,
+                 values: tuple | None = None, witness: Matrix | None = None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "witness", witness)
 
 
 def equivalent(f1: QuadForm2, f2: QuadForm2, proper: bool = False) -> EquivalenceResult:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import k3mukai.checks
 from k3mukai.cli import (
     CENSUS_GRID_MAX,
+    CENSUS_JOBS_MAX,
     DUAL_K_SPAN_MAX,
     EQUIV_DET_MAX,
     ReportRecord,
@@ -320,6 +321,23 @@ class TestCensus:
         assert (code, out) == (2, "")
         assert "at most 100" in err
 
+    def test_jobs_at_cap(self, capsys):
+        assert CENSUS_JOBS_MAX == 8
+        _, serial, _ = run_cli(capsys, "census", "--g-max", "3", "--n-max", "3")
+        code, out, _ = run_cli(
+            capsys, "census", "--g-max", "3", "--n-max", "3", "--jobs", "8"
+        )
+        assert (code, out) == (0, serial)
+
+    def test_jobs_above_cap_starts_nothing(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("census_records called above the --jobs cap")
+
+        monkeypatch.setattr(k3mukai.cli, "census_records", refuse)
+        code, out, err = run_cli(capsys, "census", "--jobs", str(CENSUS_JOBS_MAX + 1))
+        assert (code, out) == (2, "")
+        assert "at most 8" in err
+
     def test_parallel_matches_serial(self, capsys):
         _, serial, _ = run_cli(capsys, "census", "--g-max", "5", "--n-max", "5")
         _, parallel, _ = run_cli(
@@ -353,6 +371,32 @@ class TestCensus:
             assert cell(line, columns.index("w")) == f"({w['r']}, {w['c'][0]}, {w['s']})"
 
 
+# Products of this with itself pass Python's 4,300-digit limit on int-to-str
+# conversion, so rendering them raises ValueError.
+HUGE = "9" * 2200
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestUnprintableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["square", f"--v=1,{HUGE},1", "--c2", "8"],
+            ["square", f"--v=1,{HUGE},1", "--c2", "8", "--json"],
+            ["pair", f"--v=1,{HUGE},1", f"--u=1,{HUGE},1", "--c2", "8" * 2200],
+            ["equiv", f"--f1=1,{HUGE},1", "--f2=1,0,1", "--json"],
+        ],
+        ids=["square", "square-json", "pair-huge-c2", "equiv-json"],
+    )
+    def test_exit_two_with_nothing_on_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "integer string conversion" in err
+        assert err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "verify-paper", "--g", "2", "--n", "2")
@@ -383,12 +427,20 @@ class TestParser:
         ]
 
     def test_import_leaves_thread_pool_unloaded(self):
-        # the pool is imported only when census runs with --jobs above 1
-        probe = "import sys, k3mukai.cli; print('concurrent.futures' in sys.modules)"
+        # the pool is imported only when census runs with --jobs above 1, json
+        # and fractions on first use, and no value type uses dataclasses
+        # (whose import pulls in inspect); modules that the interpreter loaded
+        # before k3mukai are not counted
+        probe = (
+            "import sys; before = set(sys.modules); import k3mukai.cli; "
+            "watched = ('dataclasses', 'inspect', 'json', 'fractions', 'decimal', "
+            "'concurrent.futures'); "
+            "print(sorted(m for m in watched if m in sys.modules and m not in before))"
+        )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
-        assert result.stdout == "False\n"
+        assert result.stdout == "[]\n"
 
     def test_all_subcommands_registered(self):
         parser = build_parser()
@@ -483,8 +535,9 @@ SMALL = st.integers(-3, 12).map(str)
 EDGE = st.sampled_from(["0", "-1", "25", "26", "40", "41", "100", "101", "10000000"])
 TRIPLES = st.tuples(*[st.integers(-4, 8)] * 3).map(lambda xs: ",".join(map(str, xs)))
 BAD_LISTS = st.sampled_from(["", "x", "1,2", "1,,2", "1,2,3,4", "0,0,0", "-3"])
-INT_VALUES = st.one_of(SMALL, SMALL, SMALL, SMALL, EDGE, EDGE, TRIPLES)
-LIST_VALUES = st.one_of(TRIPLES, TRIPLES, TRIPLES, BAD_LISTS, SMALL)
+HUGE_VALUES = st.sampled_from([HUGE, f"1,{HUGE},1"])
+INT_VALUES = st.one_of(SMALL, SMALL, SMALL, SMALL, EDGE, EDGE, TRIPLES, HUGE_VALUES)
+LIST_VALUES = st.one_of(TRIPLES, TRIPLES, TRIPLES, BAD_LISTS, SMALL, HUGE_VALUES)
 
 
 @st.composite
@@ -496,9 +549,8 @@ def fuzz_argv(draw):
             argv += [name, draw(LIST_VALUES if name in LIST_FLAGS else INT_VALUES)]
     if draw(st.integers(0, 5)) == 0:
         argv += [draw(st.sampled_from(["--v", "--g", "--bogus"])), draw(INT_VALUES)]
-    # --jobs starts threads, so it only takes small values
     if command == "census" and draw(st.booleans()):
-        argv += ["--jobs", str(draw(st.integers(-3, 3)))]
+        argv += ["--jobs", str(draw(st.integers()))]
     if command == "equiv" and draw(st.booleans()):
         argv.append("--proper")
     if draw(st.booleans()):

@@ -1,0 +1,148 @@
+"""The immutable value types: equality, hashing, repr and read-only fields."""
+
+import inspect
+
+import pytest
+
+from k3mukai import (
+    BBClass,
+    BBLattice,
+    CheckResult,
+    ConstraintSolution,
+    CriterionReport,
+    DualSurfaceReport,
+    EquivalenceResult,
+    FibrationHit,
+    IsotropicSearch,
+    MukaiVector,
+    NSGram,
+    Polarization,
+    QuadForm2,
+    QuotientClass,
+    TransformConstraintFamily,
+)
+from k3mukai.cli import ReportRecord
+from k3mukai.value import Value
+
+W = MukaiVector(2, (1,), 2)
+SOLUTION = ConstraintSolution(k=0, l=0, de=1, e2=0)
+
+# one constructor call per value type; each builds a fresh instance
+SAMPLES = {
+    NSGram: lambda: NSGram(((2, 1), (1, 0))),
+    MukaiVector: lambda: MukaiVector(1, (2,), 3),
+    Polarization: lambda: Polarization((1,)),
+    QuadForm2: lambda: QuadForm2(1, 2, 3),
+    EquivalenceResult: lambda: EquivalenceResult(
+        "not_equivalent", certificate="determinant", values=(-4, -3)
+    ),
+    BBClass: lambda: BBClass(1, 2),
+    BBLattice: lambda: BBLattice(8, 2),
+    IsotropicSearch: lambda: IsotropicSearch((BBClass(1, 2),), True),
+    DualSurfaceReport: lambda: DualSurfaceReport(W, 2, 2, 2, False, 2),
+    QuotientClass: lambda: QuotientClass(W, 2, True),
+    ConstraintSolution: lambda: ConstraintSolution(k=0, l=0, de=1, e2=0),
+    TransformConstraintFamily: lambda: TransformConstraintFamily(
+        2, 2, ("de + 2*k == 1",), (SOLUTION,)
+    ),
+    FibrationHit: lambda: FibrationHit(W, "dual-surface", d_square=2, gerbe_order=2),
+    CriterionReport: lambda: CriterionReport(W, 2, ()),
+    CheckResult: lambda: CheckResult("tensor_degree", 16, 16, True, {"g": 2}),
+}
+CLASSES = pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+
+
+def parameters(cls) -> list[str]:
+    return list(inspect.signature(cls.__init__).parameters)[1:]
+
+
+def test_every_value_type_is_sampled():
+    assert set(Value.__subclasses__()) == {*SAMPLES, ReportRecord}
+
+
+@CLASSES
+def test_equal_fields_compare_and_hash_equal(cls):
+    first, second = SAMPLES[cls](), SAMPLES[cls]()
+    assert first is not second
+    assert first == second
+    assert not first != second
+    if cls is CheckResult:
+        # its context is a dict, so it is unhashable, as a frozen dataclass was
+        with pytest.raises(TypeError):
+            hash(first)
+    else:
+        assert hash(first) == hash(second)
+
+
+@CLASSES
+def test_other_class_with_same_fields_is_unequal(cls):
+    obj = SAMPLES[cls]()
+    twin = type(f"Twin{cls.__name__}", (cls,), {})(**vars(obj))
+    assert vars(twin) == vars(obj)
+    assert obj != twin
+    assert twin != obj
+
+
+@CLASSES
+def test_fields_are_read_only(cls):
+    obj = SAMPLES[cls]()
+    name = parameters(cls)[0]
+    before = vars(obj)[name]
+    with pytest.raises(AttributeError):
+        setattr(obj, name, before)
+    with pytest.raises(AttributeError):
+        obj.new_field = 1
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    assert vars(obj)[name] is before
+
+
+@CLASSES
+def test_repr_names_every_field(cls):
+    text = repr(SAMPLES[cls]())
+    assert text.startswith(f"{cls.__name__}(")
+    for name in parameters(cls):
+        assert f"{name}=" in text
+
+
+@CLASSES
+def test_fields_follow_init_order(cls):
+    assert list(vars(SAMPLES[cls]())) == parameters(cls)
+
+
+def test_check_results_do_not_share_context():
+    first = CheckResult("a", 1, 1, True)
+    second = CheckResult("b", 2, 2, True)
+    assert first.context == second.context == {}
+    first.context["seen"] = True
+    assert second.context == {}
+
+
+def test_mukai_vector_post_init_runs_once_per_construction(monkeypatch):
+    calls = []
+    original = MukaiVector.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(MukaiVector, "__post_init__", counted)
+    v = MukaiVector(1, [2], 3) + MukaiVector(0, (1,), 0)
+    assert len(calls) == 3
+    assert v.c == (3,)
+
+
+def test_report_record_is_mutable_and_unhashable():
+    record = ReportRecord("pair", {"c2": 8}, {"pairing": 0})
+    assert record == ReportRecord("pair", {"c2": 8}, {"pairing": 0})
+    assert list(vars(record)) == parameters(ReportRecord)
+    assert repr(record) == (
+        "ReportRecord(command='pair', inputs={'c2': 8}, outputs={'pairing': 0}, "
+        "passed=None)"
+    )
+    with pytest.raises(TypeError):
+        hash(record)
+    record.passed = True
+    assert record.passed is True
+    del record.passed
+    assert "passed" not in vars(record)
