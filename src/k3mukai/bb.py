@@ -133,10 +133,8 @@ def perp_basis(v: MukaiVector, gram: NSGram) -> tuple[MukaiVector, MukaiVector]:
     return vecs
 
 
-def vperp_gram(v: MukaiVector, gram: NSGram) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Gram matrix of v-perp inside the rank-three algebraic Mukai lattice."""
+def vperp_gram(v: MukaiVector, gram: NSGram) -> QuadForm2:
+    """Gram matrix of v-perp inside the rank-three algebraic Mukai lattice,
+    in the basis `perp_basis` returns."""
     b1, b2 = perp_basis(v, gram)
-    return (
-        (pairing(b1, b1, gram), pairing(b1, b2, gram)),
-        (pairing(b2, b1, gram), pairing(b2, b2, gram)),
-    )
+    return QuadForm2(pairing(b1, b1, gram), pairing(b1, b2, gram), pairing(b2, b2, gram))

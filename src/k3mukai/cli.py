@@ -5,7 +5,8 @@ criterion, equiv), the full verification ledger (verify-paper), and the
 (g, n) census.  Output is a human-readable aligned table by default;
 --json switches to newline-delimited JSON records of the shape
 {"command": str, "inputs": object, "outputs": object, "pass": bool?}
-with exact integers throughout (rationals would appear as num/den pairs).
+with exact integers throughout; a library value (a vector, a form, a class)
+encodes as the object of its fields.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -28,8 +29,6 @@ from .checks import (
     torsion_degree,
 )
 from .dual_surface import (
-    ConstraintSolution,
-    FibrationHit,
     build_dual,
     family_holds,
     family_ranges,
@@ -74,30 +73,16 @@ class UsageError(Exception):
 
 
 def _encode(value):
-    """JSON form of the values `json` cannot encode by itself."""
+    """JSON form of a library value, the one type `json` cannot encode."""
     if isinstance(value, Value):
         # a value's __dict__ holds its fields in `__init__` order
         return vars(value)
-    if isinstance(value, frozenset):
-        return sorted(value)
-    from fractions import Fraction  # imported on first use: no output holds one yet
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, ConstraintSolution):
-        return f"(k={value.k}, l={value.l}, de={value.de}, e2={value.e2})"
-    if isinstance(value, FibrationHit):
-        extra = "" if value.d_square is None else (
-            f", d_square={value.d_square}, gerbe={value.gerbe_order}"
-        )
-        return f"{value.w} [{value.branch}{extra}]"
-    if isinstance(value, frozenset):
-        return _format_value(sorted(value))
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_format_value(x) for x in value) + "]"
     return str(value)
@@ -588,10 +573,7 @@ def _criterion_arguments(p) -> None:
 
 
 def _equiv_arguments(p) -> None:
-    p.epilog = (
-        "Forms are symmetric Gram matrices m11,m12,m22; the content "
-        "invariant is the gcd of the Gram entries."
-    )
+    p.epilog = "Forms are symmetric Gram matrices m11,m12,m22."
     p.add_argument("--f1", help="form m11,m12,m22")
     p.add_argument("--f2", help="form m11,m12,m22")
     p.add_argument("--g", type=int)

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from .bb import perp_basis
+from .bb import perp_basis, vperp_gram
 from .hermite import xgcd
-from .quadforms import QuadForm2, isotropic_lines
+from .quadforms import isotropic_lines
 from .mukai import (
     MukaiVector,
     NSGram,
@@ -172,6 +172,9 @@ class ConstraintSolution(Value):
         object.__setattr__(self, "de", de)
         object.__setattr__(self, "e2", e2)
 
+    def __str__(self) -> str:
+        return f"(k={self.k}, l={self.l}, de={self.de}, e2={self.e2})"
+
 
 class TransformConstraintFamily(Value):
     def __init__(self, g: int, n: int, equations: tuple[str, ...],
@@ -293,6 +296,12 @@ class FibrationHit(Value):
         object.__setattr__(self, "d_square", d_square)
         object.__setattr__(self, "gerbe_order", gerbe_order)
 
+    def __str__(self) -> str:
+        extra = "" if self.d_square is None else (
+            f", d_square={self.d_square}, gerbe={self.gerbe_order}"
+        )
+        return f"{self.w} [{self.branch}{extra}]"
+
 
 class CriterionReport(Value):
     def __init__(self, v: MukaiVector, genus: int, hits: tuple[FibrationHit, ...]):
@@ -308,8 +317,8 @@ def general_fibration_criterion(
 
     Requires C^2 > 0 and <v, v> = 2g - 2 > 0, so v-perp is indefinite of
     rank two: its isotropic lines come in closed form from `isotropic_lines`
-    on the Gram matrix of `perp_basis` (of v over its content), and the
-    bound only filters them.  Each w takes the sign making (r, c, s)
+    on `vperp_gram` (of v over its content), in the basis of `perp_basis`,
+    and the bound only filters them.  Each w takes the sign making (r, c, s)
     lexicographically positive; hits are sorted by (r, c, s).
     """
     if gram.rank != 1:
@@ -321,10 +330,10 @@ def general_fibration_criterion(
         raise ValueError("need square(v) = 2g - 2 > 0")
     content = gcd(*v.components())
     r, c, s = (x // content for x in v.components())
-    b1, b2 = perp_basis(MukaiVector(r, (c,), s), gram)
-    form = QuadForm2(square(b1, gram), pairing(b1, b2, gram), square(b2, gram))
+    primitive = MukaiVector(r, (c,), s)
+    b1, b2 = perp_basis(primitive, gram)
     hits = []
-    for x, y in isotropic_lines(form):
+    for x, y in isotropic_lines(vperp_gram(primitive, gram)):
         w = x * b1 + y * b2
         w = -w if w.components() < (0, 0, 0) else w
         if max(map(abs, w.components())) > bound:

@@ -2,12 +2,12 @@
 
 Forms are symmetric integer Gram matrices [[m11, m12], [m12, m22]] acting as
 f(x, y) = m11 x^2 + 2 m12 x y + m22 y^2.  Equivalence is decided, not
-searched: invariants (determinant first) certify most non-equivalence, and
-otherwise both forms are reduced to the canonical form of their class
-(Gauss reduction, the cycle of reduced indefinite forms, or an isotropic
-line moved to (1, 0)); equal canonical forms give a witness, different ones
-certify non-equivalence.  For the Picard-lattice comparison this package
-exists for, the determinant always settles the question.
+searched: different determinants certify non-equivalence, and otherwise both
+forms are reduced to the canonical form of their class (Gauss reduction, the
+cycle of reduced indefinite forms, or an isotropic line moved to (1, 0));
+equal canonical forms give a witness, different ones certify
+non-equivalence.  For the Picard-lattice comparison this package exists
+for, the determinant always settles the question.
 """
 
 from __future__ import annotations
@@ -119,36 +119,6 @@ def picard_scheme_form(g: int, d: int) -> PicardSchemeForm:
     return PicardSchemeForm(QuadForm2(0, -a0, 2 * (g - 1) * b0 * b0), a0, b0, ell)
 
 
-def _definiteness(f: QuadForm2) -> str:
-    d = f.determinant()
-    if d > 0:
-        return "positive" if f.m11 > 0 else "negative"
-    if d < 0:
-        return "indefinite"
-    if f.m11 > 0 or f.m22 > 0:
-        return "semi-positive"
-    if f.m11 < 0 or f.m22 < 0:
-        return "semi-negative"
-    return "zero"
-
-
-def _residues(f: QuadForm2, modulus: int) -> frozenset[int]:
-    # f(x, y) mod m only depends on x, y mod m, and a unimodular substitution
-    # permutes (Z/m)^2, so the represented residue set is an invariant
-    return frozenset(
-        f.value(x, y) % modulus for x in range(modulus) for y in range(modulus)
-    )
-
-
-_INVARIANTS = (
-    ("determinant", QuadForm2.determinant),
-    ("content", QuadForm2.content),
-    ("definiteness", _definiteness),
-    ("residues mod 4", lambda f: _residues(f, 4)),
-    ("residues mod 8", lambda f: _residues(f, 8)),
-)
-
-
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 
@@ -250,8 +220,8 @@ class EquivalenceResult(Value):
     """Decided answer to a GL2(Z)- or SL2(Z)-equivalence question.
 
     `equivalent` carries a witness basis change; `not_equivalent` carries
-    the name and values of the separating invariant, or `reduced_form` and
-    the two differing canonical forms.
+    `determinant` and the two determinants, or `reduced_form` and the two
+    differing canonical forms.
     """
 
     def __init__(self, verdict: str, certificate: str | None = None,
@@ -265,16 +235,15 @@ class EquivalenceResult(Value):
 def equivalent(f1: QuadForm2, f2: QuadForm2, proper: bool = False) -> EquivalenceResult:
     """Decide GL2(Z)-equivalence (SL2(Z) when proper=True).
 
-    Invariants are checked first, determinant foremost; if all agree, the
-    canonical forms decide, and equal ones give the witness U1 U2^-1 with
-    U^T f1 U = f2, re-checked by `transform`.
+    Different determinants decide at once; otherwise the canonical forms
+    decide, and equal ones give the witness U1 U2^-1 with U^T f1 U = f2,
+    re-checked by `transform`.
     """
-    for name, invariant in _INVARIANTS:
-        left, right = invariant(f1), invariant(f2)
-        if left != right:
-            return EquivalenceResult(
-                "not_equivalent", certificate=name, values=(left, right)
-            )
+    det1, det2 = f1.determinant(), f2.determinant()
+    if det1 != det2:
+        return EquivalenceResult(
+            "not_equivalent", certificate="determinant", values=(det1, det2)
+        )
     (form1, u1), (form2, u2) = canonical(f1, proper), canonical(f2, proper)
     if form1 != form2:
         return EquivalenceResult(

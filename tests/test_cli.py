@@ -185,6 +185,21 @@ class TestEquiv:
         code, _, err = run_cli(capsys, "equiv", "--g", "2")
         assert code == 2
 
+    def test_shared_determinant_certified_by_canonical_forms(self, capsys):
+        # contents 1 and 2, but only the canonical forms are reported
+        argv = ["equiv", "--f1", "1,0,8", "--f2", "2,0,4"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "  certificate = reduced_form\n" in out
+        assert "  values      = [[[1, 0], [0, 8]], [[2, 0], [0, 4]]]\n" in out
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert record["outputs"]["certificate"] == "reduced_form"
+        assert record["outputs"]["values"] == [
+            {"m11": 1, "m12": 0, "m22": 8}, {"m11": 2, "m12": 0, "m22": 4},
+        ]
+
     @pytest.mark.parametrize("bound", ["26", "1000000"])
     def test_bound_has_no_effect(self, capsys, bound):
         # --bound is accepted and echoed, but no search depends on it

@@ -186,6 +186,38 @@ def iter_unimodular(bound, proper):
                         yield ((a, b), (c, d))
 
 
+def definiteness(f):
+    d = f.determinant()
+    if d > 0:
+        return "positive" if f.m11 > 0 else "negative"
+    if d < 0:
+        return "indefinite"
+    if f.m11 > 0 or f.m22 > 0:
+        return "semi-positive"
+    if f.m11 < 0 or f.m22 < 0:
+        return "semi-negative"
+    return "zero"
+
+
+def residues(f, modulus):
+    # f(x, y) mod m only depends on x, y mod m, and a unimodular substitution
+    # permutes (Z/m)^2, so the represented residue set is an invariant
+    return frozenset(
+        f.value(x, y) % modulus for x in range(modulus) for y in range(modulus)
+    )
+
+
+# Class invariants besides the determinant: content, definiteness and the
+# residues represented mod 4 and mod 8.  Forms with equal canonical forms
+# agree on all of them, so they are an oracle for `canonical`.
+CONGRUENCE_INVARIANTS = (
+    QuadForm2.content,
+    definiteness,
+    lambda f: residues(f, 4),
+    lambda f: residues(f, 8),
+)
+
+
 # Same-genus pairs of positive definite forms, as in perfbench/workloads.py:
 # every invariant agrees, yet both members are Gauss-reduced and distinct.
 SAME_GENUS_PAIRS = (
@@ -222,21 +254,49 @@ class TestEquivalent:
             assert f.transform(result.witness) == f.transform(u)
 
     def test_content_certificate(self):
+        # same determinant, contents 1 and 2: the canonical forms decide
         result = equivalent(QuadForm2(1, 0, 8), QuadForm2(2, 0, 4))
         assert result.verdict == "not_equivalent"
-        assert result.certificate == "content"
+        assert result.certificate == "reduced_form"
+        assert result.values == (QuadForm2(1, 0, 8), QuadForm2(2, 0, 4))
 
     def test_definiteness_certificate(self):
+        # same determinant, one positive and one negative definite
         result = equivalent(QuadForm2(2, 1, 2), QuadForm2(-2, 1, -2))
         assert result.verdict == "not_equivalent"
-        assert result.certificate == "definiteness"
+        assert result.certificate == "reduced_form"
+        assert result.values == (QuadForm2(2, 1, 2), QuadForm2(-2, -1, -2))
 
     def test_residue_certificate(self):
         # same determinant, content, and definiteness; the represented
         # residues differ (one form is even-valued, the other is not)
         result = equivalent(QuadForm2(2, 1, 2), QuadForm2(1, 0, 3))
         assert result.verdict == "not_equivalent"
-        assert result.certificate == "residues mod 4"
+        assert result.certificate == "reduced_form"
+        assert result.values == (QuadForm2(2, 1, 2), QuadForm2(1, 0, 3))
+
+    def test_congruence_invariants_never_decide_alone(self):
+        # wherever a form pair sharing a determinant differs in a class
+        # invariant, the canonical forms differ too and certify it
+        box = range(-4, 5)
+        by_det = {}
+        for f in (QuadForm2(a, b, c) for a in box for b in box for c in box):
+            by_det.setdefault(f.determinant(), []).append(f)
+        separated = 0
+        for proper in (False, True):
+            for forms in by_det.values():
+                invariants = {f: [inv(f) for inv in CONGRUENCE_INVARIANTS] for f in forms}
+                reduced = {f: canonical(f, proper)[0] for f in forms}
+                for f1 in forms:
+                    for f2 in forms:
+                        if invariants[f1] == invariants[f2]:
+                            continue
+                        result = equivalent(f1, f2, proper=proper)
+                        assert (result.verdict, result.certificate) == (
+                            "not_equivalent", "reduced_form"), (f1, f2, proper)
+                        assert result.values == (reduced[f1], reduced[f2])
+                        separated += 1
+        assert separated > 0
 
     def test_same_genus_pair_separated_by_reduction(self):
         # classically inequivalent but in the same genus, so every
