@@ -115,10 +115,10 @@ def fujiki_degree(qH: int, qHL: int, qL: int, g: int) -> int:
 def perp_basis(v: MukaiVector, gram: NSGram) -> tuple[MukaiVector, MukaiVector]:
     """Canonical basis of the rank-two sublattice orthogonal to v.
 
-    Works in the rank-three algebraic Mukai lattice over a rank-one NS.
-    Kernel coordinates are ordered (c, r, s) so that divisor-type
-    directions lead the normalized basis; together with the Hermite normal
-    form this makes the output deterministic.
+    v-perp is the kernel of <v, .> on the rank-three algebraic Mukai
+    lattice over a rank-one NS.  In (c, r, s) coordinates, so that divisor
+    directions lead, `kernel_of_functional` gives its Hermite basis: the
+    second vector has c = 0, the first c > 0 unless v.r = v.s = 0.
     """
     if gram.rank != 1:
         raise ValueError("perpendicular basis requires a rank-one NS lattice")
@@ -126,15 +126,16 @@ def perp_basis(v: MukaiVector, gram: NSGram) -> tuple[MukaiVector, MukaiVector]:
         raise ValueError("v must be primitive")
     c2 = gram.entries[0][0]
     # <v, .> as a functional in (c, r, s) coordinates
-    functional = (v.c[0] * c2, -v.s, -v.r)
-    rows = kernel_of_functional(functional)
-    vecs = tuple(MukaiVector(r, (c,), s) for (c, r, s) in rows)
-    assert len(vecs) == 2
-    return vecs
+    rows = kernel_of_functional((v.c[0] * c2, -v.s, -v.r))
+    return tuple(MukaiVector(r, (c,), s) for c, r, s in rows)
+
+
+def _basis_form(b1: MukaiVector, b2: MukaiVector, gram: NSGram) -> QuadForm2:
+    """Gram matrix of the Mukai pairing in the basis (b1, b2)."""
+    return QuadForm2(pairing(b1, b1, gram), pairing(b1, b2, gram), pairing(b2, b2, gram))
 
 
 def vperp_gram(v: MukaiVector, gram: NSGram) -> QuadForm2:
     """Gram matrix of v-perp inside the rank-three algebraic Mukai lattice,
     in the basis `perp_basis` returns."""
-    b1, b2 = perp_basis(v, gram)
-    return QuadForm2(pairing(b1, b1, gram), pairing(b1, b2, gram), pairing(b2, b2, gram))
+    return _basis_form(*perp_basis(v, gram), gram)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .bb import perp_basis, vperp_gram
+from .bb import _basis_form, perp_basis
 from .hermite import xgcd
 from .quadforms import isotropic_lines
 from .mukai import (
@@ -89,45 +89,26 @@ class QuotientClass(Value):
         object.__setattr__(self, "primitive", primitive)
 
 
-def _express_in_basis(
-    target: MukaiVector, basis: tuple[MukaiVector, MukaiVector]
-) -> tuple[int, int]:
-    """Integer coordinates of `target` in a rank-two basis, or ValueError."""
-    rows = [b.components() for b in basis]
-    t = target.components()
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            det = rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]
-            if det == 0:
-                continue
-            alpha_num = t[i] * rows[1][j] - t[j] * rows[1][i]
-            beta_num = rows[0][i] * t[j] - rows[0][j] * t[i]
-            if alpha_num % det or beta_num % det:
-                raise ValueError("target is not an integer combination of the basis")
-            alpha, beta = alpha_num // det, beta_num // det
-            if alpha * basis[0] + beta * basis[1] == target:
-                return alpha, beta
-            raise ValueError("target lies outside the span of the basis")
-    raise ValueError("basis is degenerate")
-
-
 def quotient_lattice(w: MukaiVector, gram: NSGram) -> QuotientClass:
     """Generator and induced square of the rank-one lattice w-perp / Z.w.
 
     w must be primitive and isotropic, so that w lies inside its own
     orthogonal complement and the quotient carries a well-defined square
-    (shifting a lift by multiples of w does not change it).
+    (shifting a lift by multiples of w does not change it).  In the
+    triangular `perp_basis`, w = alpha*b1 + beta*b2 gives alpha from the c
+    entry, which b2 lacks, and then beta from the pivot of b2.
     """
     if not is_primitive(w):
         raise ValueError("w must be primitive")
     if square(w, gram) != 0:
         raise ValueError("w must be isotropic")
-    basis = perp_basis(w, gram)
-    alpha, beta = _express_in_basis(w, basis)
+    b1, b2 = perp_basis(w, gram)
+    alpha = w.c[0] // b1.c[0]
+    beta = (w.r - alpha * b1.r) // b2.r if b2.r else (w.s - alpha * b1.s) // b2.s
     g0, x, y = xgcd(alpha, beta)
     # [[alpha, beta], [-y, x]] is unimodular when g0 == 1, so the second row
     # maps onto a generator of the quotient
-    generator = (-y) * basis[0] + x * basis[1]
+    generator = (-y) * b1 + x * b2
     return QuotientClass(generator, square(generator, gram), g0 == 1)
 
 
@@ -317,9 +298,9 @@ def general_fibration_criterion(
 
     Requires C^2 > 0 and <v, v> = 2g - 2 > 0, so v-perp is indefinite of
     rank two: its isotropic lines come in closed form from `isotropic_lines`
-    on `vperp_gram` (of v over its content), in the basis of `perp_basis`,
-    and the bound only filters them.  Each w takes the sign making (r, c, s)
-    lexicographically positive; hits are sorted by (r, c, s).
+    on the Gram matrix of v-perp in the one `perp_basis` of v over its
+    content, and the bound only filters them.  Each w takes the sign making
+    (r, c, s) lexicographically positive; hits are sorted by (r, c, s).
     """
     if gram.rank != 1:
         raise ValueError("criterion requires a rank-one NS lattice")
@@ -333,7 +314,7 @@ def general_fibration_criterion(
     primitive = MukaiVector(r, (c,), s)
     b1, b2 = perp_basis(primitive, gram)
     hits = []
-    for x, y in isotropic_lines(vperp_gram(primitive, gram)):
+    for x, y in isotropic_lines(_basis_form(b1, b2, gram)):
         w = x * b1 + y * b2
         w = -w if w.components() < (0, 0, 0) else w
         if max(map(abs, w.components())) > bound:

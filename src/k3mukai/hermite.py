@@ -1,12 +1,14 @@
-"""Exact integer row reduction for small lattices.
+"""The integer kernel of one functional on Z^3, in closed form.
 
-Matrices here are tiny (rank at most three) and live on plain Python
-integers, so there is no precision or overflow concern.  Rows are tuples;
-the normal form is canonical, which makes every lattice basis produced by
-this package reproducible across runs.
+v-perp for v = (1, 0, 1-g) and w-perp for the isotropic w = (n, C, (g-1)n)
+are such kernels.  Bases come as rows in row Hermite normal form (pivots
+positive, the entry above the second pivot in [0, pivot)), which depends
+only on the lattice, so every basis is reproducible.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -24,63 +26,28 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def row_hermite(rows) -> list[tuple[int, ...]]:
-    """Canonical row Hermite normal form of an integer matrix.
+def kernel_of_functional(coeffs) -> list[tuple[int, int, int]]:
+    """Row Hermite basis of {x in Z^3 : coeffs . x = 0}.
 
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    and zero rows are dropped.  The result depends only on the row span.
+    Divide (a, b, c) by its gcd and write h = gcd(b, c) = b*p + c*q.  Then
+    a is prime to h, so every kernel vector has x0 in h*Z, and
+    (h, -a*p, -a*q) attains x0 = h; the kernel vectors with x0 = 0 are the
+    multiples of (0, c, -b)/h.  These two rows, the second with its pivot
+    made positive and the first reduced against it, are the normal form.
+    When h = 0 the kernel is {x0 = 0}, with rows (0, 1, 0) and (0, 0, 1).
     """
-    mat = [list(row) for row in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    top = 0
-    for col in range(ncols):
-        found = next((i for i in range(top, len(mat)) if mat[i][col]), None)
-        if found is None:
-            continue
-        mat[top], mat[found] = mat[found], mat[top]
-        for i in range(top + 1, len(mat)):
-            a, b = mat[top][col], mat[i][col]
-            if b == 0:
-                continue
-            g, x, y = xgcd(a, b)
-            # the 2x2 row operation [[x, y], [-b/g, a/g]] has determinant one
-            rt, ri = mat[top], mat[i]
-            mat[top] = [x * p + y * q for p, q in zip(rt, ri)]
-            mat[i] = [(a // g) * q - (b // g) * p for p, q in zip(rt, ri)]
-        if mat[top][col] < 0:
-            mat[top] = [-e for e in mat[top]]
-        pivot = mat[top][col]
-        for i in range(top):
-            q = mat[i][col] // pivot
-            if q:
-                mat[i] = [p - q * t for p, t in zip(mat[i], mat[top])]
-        top += 1
-        if top == len(mat):
-            break
-    return [tuple(row) for row in mat[:top]]
-
-
-def kernel_of_functional(coeffs) -> list[tuple[int, ...]]:
-    """Canonical basis (as rows) of {x in Z^n : coeffs . x = 0}.
-
-    Column operations reduce the functional to (g, 0, ..., 0); the images
-    of the remaining coordinate directions then span the full integer
-    kernel, which is returned in row Hermite normal form.
-    """
-    n = len(coeffs)
-    a = list(coeffs)
-    if not any(a):
+    if len(coeffs) != 3:
+        raise ValueError("functional must have three coefficients")
+    d = gcd(*coeffs)
+    if d == 0:
         raise ValueError("functional is zero; kernel is the whole lattice")
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    for j in range(1, n):
-        if a[j] == 0:
-            continue
-        g, x, y = xgcd(a[0], a[j])
-        q0, qj = a[0] // g, a[j] // g
-        c0, cj = cols[0], cols[j]
-        cols[0] = [x * p + y * q for p, q in zip(c0, cj)]
-        cols[j] = [q0 * q - qj * p for p, q in zip(c0, cj)]
-        a[0], a[j] = g, 0
-    return row_hermite(cols[1:])
+    a, b, c = (e // d for e in coeffs)
+    h, p, q = xgcd(b, c)
+    if h == 0:
+        return [(0, 1, 0), (0, 0, 1)]
+    # the pivot of (0, c, -b) is c, or -b when c = 0; make it positive
+    low = (0, c // h, -b // h) if (c or -b) > 0 else (0, -c // h, b // h)
+    pivot = 1 if c else 2
+    top = (h, -a * p, -a * q)
+    k = top[pivot] // low[pivot]
+    return [(h, top[1] - k * low[1], top[2] - k * low[2]), low]

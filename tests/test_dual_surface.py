@@ -9,6 +9,7 @@ from math import gcd, isqrt
 
 import pytest
 
+import k3mukai.bb
 import k3mukai.dual_surface
 from k3mukai.cli import main
 from k3mukai.dual_surface import (
@@ -373,6 +374,23 @@ class TestGeneralFibrationCriterion:
                 general_fibration_criterion(
                     MukaiVector(1, (0,), -1), NSGram.rank_one(c2), 3
                 )
+
+    def test_one_perp_basis_per_request(self, monkeypatch):
+        calls = []
+        original = k3mukai.bb.perp_basis
+
+        def counted(v, gram):
+            calls.append(v)
+            return original(v, gram)
+
+        monkeypatch.setattr(k3mukai.bb, "perp_basis", counted)
+        monkeypatch.setattr(k3mukai.dual_surface, "perp_basis", counted)
+        gram = NSGram.rank_one(8)
+        for v in (MukaiVector(1, (0,), -1), MukaiVector(2, (0,), -2),
+                  MukaiVector(2, (1,), -3)):
+            calls.clear()
+            general_fibration_criterion(v, gram, 5)
+            assert len(calls) == 1, v
 
     def test_cost_does_not_depend_on_bound(self):
         # the bound only filters two closed-form lines; a scan of the
