@@ -19,11 +19,11 @@ from .bb import (
     vperp_gram,
 )
 from .checks import (
-    CheckResult,
     brill_noether_data,
     double_dual_square,
     extension_square,
     kernel_square,
+    kernel_square_bound,
     tensor_degree_check,
     torsion_degree,
 )

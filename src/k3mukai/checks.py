@@ -1,41 +1,27 @@
 """Recomputable numeric checks behind the stability and section-counting
 arguments.
 
-Every check evaluates its quantity two ways: a closed-form expression and a
-raw Mukai-pairing computation on explicitly constructed vectors.  A check
-passes only when both routes agree, so nothing here merely restates a
-formula.
+Each check returns the pair (computed, claimed): a raw Mukai-pairing
+computation on explicitly constructed vectors, and the paper's closed-form
+expression for the same quantity.  Nothing here decides pass or fail; the
+verification ledger (`cli.ledger_checks`) compares the two routes, so
+nothing merely restates a formula.
 """
 
 from __future__ import annotations
 
 from .dual_surface import member_gram
 from .mukai import MukaiVector, NSGram, square
-from .value import Value
 
 __all__ = [
-    "CheckResult",
     "double_dual_square",
     "extension_square",
     "kernel_square",
+    "kernel_square_bound",
     "torsion_degree",
     "tensor_degree_check",
     "brill_noether_data",
 ]
-
-
-class CheckResult(Value):
-    def __init__(self, name: str, computed: int, claimed: int, passed: bool,
-                 context: dict | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "claimed", claimed)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "context", {} if context is None else context)
-
-
-def _result(name: str, computed: int, claimed: int, **context) -> CheckResult:
-    return CheckResult(name, computed, claimed, computed == claimed, context)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -43,7 +29,7 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def double_dual_square(n: int, g: int, length: int) -> CheckResult:
+def double_dual_square(n: int, g: int, length: int) -> tuple[int, int]:
     """Square of the double dual (n, C, (g-1)n + length), claimed -2n*length.
 
     A positive length violates the Bogomolov bound (square < -2), which is
@@ -52,19 +38,10 @@ def double_dual_square(n: int, g: int, length: int) -> CheckResult:
     _require(n >= 2 and g >= 2 and length >= 0, "need n >= 2, g >= 2, length >= 0")
     gram = NSGram.rank_one(2 * (g - 1) * n * n)
     vec = MukaiVector(n, (1,), (g - 1) * n + length)
-    computed = square(vec, gram)
-    return _result(
-        "double_dual_square",
-        computed,
-        -2 * n * length,
-        g=g,
-        n=n,
-        length=length,
-        bogomolov_violation=computed < -2,
-    )
+    return square(vec, gram), -2 * n * length
 
 
-def extension_square(n: int, g: int) -> CheckResult:
+def extension_square(n: int, g: int) -> tuple[int, int]:
     """Square of the extension class (n+1, -C, (g-1)n + 1), claimed -2(ng+1).
 
     Always below -2, so the extension sheaf can never be stable; that
@@ -73,11 +50,10 @@ def extension_square(n: int, g: int) -> CheckResult:
     _require(n >= 2 and g >= 2, "need n >= 2 and g >= 2")
     gram = NSGram.rank_one(2 * (g - 1) * n * n)
     vec = MukaiVector(n + 1, (-1,), (g - 1) * n + 1)
-    computed = square(vec, gram)
-    return _result("extension_square", computed, -2 * (n * g + 1), g=g, n=n)
+    return square(vec, gram), -2 * (n * g + 1)
 
 
-def kernel_square(N: int, n: int, g: int, length: int) -> tuple[CheckResult, int]:
+def kernel_square(N: int, n: int, g: int, length: int) -> tuple[int, int]:
     """Square of the evaluation kernel N(n,E,l) - (0,D,-k) + (0,0,length).
 
     Claimed value -2N - 2Nn*length + 2(g-1); the raw route evaluates the
@@ -87,18 +63,18 @@ def kernel_square(N: int, n: int, g: int, length: int) -> tuple[CheckResult, int
     (0, D, k), and pairings with (0, 0, 1) that do not move with (k, l).
     The first three are pairings the transform preserves, so `family_holds`
     (the ledger's `transform_constraints` record) fixes them at 0, 1 and
-    2g - 2 for every integer (k, l).  Also returns the largest N compatible
-    with the Bogomolov bound (square >= -2), namely g // (1 + n*length).
+    2g - 2 for every integer (k, l).
     """
     _require(N >= 1 and n >= 2 and g >= 2 and length >= 0, "bad kernel arguments")
     vec = MukaiVector(N * n, (-1, N), length)  # the kernel class at k = l = 0
-    computed = square(vec, member_gram(g, n))
-    claimed = -2 * N - 2 * N * n * length + 2 * (g - 1)
-    n_max = g // (1 + n * length)
-    result = _result(
-        "kernel_square", computed, claimed, g=g, n=n, N=N, length=length
-    )
-    return result, n_max
+    return square(vec, member_gram(g, n)), -2 * N - 2 * N * n * length + 2 * (g - 1)
+
+
+def kernel_square_bound(n: int, g: int, length: int) -> int:
+    """The largest N whose `kernel_square` meets the Bogomolov bound
+    (square >= -2), namely g // (1 + n*length)."""
+    _require(n >= 2 and g >= 2 and length >= 0, "need n >= 2, g >= 2, length >= 0")
+    return g // (1 + n * length)
 
 
 def torsion_degree(g: int, n: int, m: int) -> tuple[int, bool]:
@@ -117,7 +93,7 @@ def torsion_degree(g: int, n: int, m: int) -> tuple[int, bool]:
     return degree, m == 1
 
 
-def tensor_degree_check(g: int, n: int) -> CheckResult:
+def tensor_degree_check(g: int, n: int) -> tuple[int, int]:
     """Degree n^2 D^2 of the twisted tensor product, against C^2.
 
     The raw route measures the class n*D against the polarization n*D in
@@ -126,8 +102,7 @@ def tensor_degree_check(g: int, n: int) -> CheckResult:
     C^2 = 2(g-1)n^2 on the source side.
     """
     _require(g >= 2 and n >= 2, "need g >= 2 and n >= 2")
-    computed = member_gram(g, n).dot((n, 0), (n, 0))
-    return _result("tensor_degree", computed, 2 * (g - 1) * n * n, g=g, n=n)
+    return member_gram(g, n).dot((n, 0), (n, 0)), 2 * (g - 1) * n * n
 
 
 def brill_noether_data(g: int, n: int) -> tuple[int, int]:

@@ -2,13 +2,15 @@
 
 Subcommands cover single computations (pair, square, isotropic, dual,
 criterion, equiv), the full verification ledger (verify-paper), and the
-(g, n) census.  Output is a human-readable aligned table by default;
---json switches to newline-delimited JSON records of the shape
+(g, n) census.  `_SUBCOMMANDS` declares each one once, with its `--help`
+line and its flags; `main` runs its handler `cmd_<name>`, which returns
+the records.  Output is a human-readable aligned table by default; --json
+switches to newline-delimited JSON records of the shape
 {"command": str, "inputs": object, "outputs": object, "pass": bool?}
 with exact integers throughout; a library value (a vector, a form, a class)
 encodes as the object of its fields.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 when a record fails ("pass" false), 2 usage error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .checks import (
     double_dual_square,
     extension_square,
     kernel_square,
+    kernel_square_bound,
     tensor_degree_check,
     torsion_degree,
 )
@@ -181,21 +184,16 @@ def _point_checks(g: int, n: int) -> list[ReportRecord]:
     add_eq("fujiki_constant_degree", fujiki_degree(q_ample, 0, 0, g), 0)
 
     for length in range(0, 4):
-        res = double_dual_square(n, g, length)
-        violation = res.context["bogomolov_violation"]
+        computed, claimed = double_dual_square(n, g, length)
+        violation = computed < -2
         add(
             "double_dual_square",
-            {
-                "computed": res.computed,
-                "claimed": res.claimed,
-                "bogomolov_violation": violation,
-            },
-            res.passed and violation == (length > 0),
+            {"computed": computed, "claimed": claimed, "bogomolov_violation": violation},
+            computed == claimed and violation == (length > 0),
             length=length,
         )
 
-    res = extension_square(n, g)
-    add_eq("extension_square", res.computed, res.claimed)
+    add_eq("extension_square", *extension_square(n, g))
 
     for length in range(0, 3):
         # independent route: scan N upward; empty means no N >= 1 is allowed
@@ -208,9 +206,10 @@ def _point_checks(g: int, n: int) -> list[ReportRecord]:
             default=0,
         )
         for big_n in range(1, 2 * g + 1):
-            res, n_max = kernel_square(big_n, n, g, length)
-            add_eq("kernel_square", res.computed, res.claimed, N=big_n, length=length)
-        add_eq("kernel_square_bound", n_max, expected_bound, length=length)
+            computed, claimed = kernel_square(big_n, n, g, length)
+            add_eq("kernel_square", computed, claimed, N=big_n, length=length)
+        bound = kernel_square_bound(n, g, length)
+        add_eq("kernel_square_bound", bound, expected_bound, length=length)
 
     for m in range(1, 13):
         if c2 % m:
@@ -223,8 +222,7 @@ def _point_checks(g: int, n: int) -> list[ReportRecord]:
             m=m,
         )
 
-    res = tensor_degree_check(g, n)
-    add_eq("tensor_degree", res.computed, res.claimed)
+    add_eq("tensor_degree", *tensor_degree_check(g, n))
 
     rank, degree = brill_noether_data(g, n)
     add_eq(
@@ -387,7 +385,7 @@ def _require_at_least(value: int, minimum: int, flag: str) -> None:
         raise UsageError(f"{flag} must be at least {minimum}")
 
 
-def cmd_pair(args) -> tuple[list[ReportRecord], int]:
+def cmd_pair(args) -> list[ReportRecord]:
     v, u = _parse_vector(args.v), _parse_vector(args.u)
     gram = NSGram.rank_one(args.c2)
     record = ReportRecord(
@@ -395,19 +393,19 @@ def cmd_pair(args) -> tuple[list[ReportRecord], int]:
         {"v": v, "u": u, "c2": args.c2},
         {"pairing": pairing(v, u, gram)},
     )
-    return [record], 0
+    return [record]
 
 
-def cmd_square(args) -> tuple[list[ReportRecord], int]:
+def cmd_square(args) -> list[ReportRecord]:
     v = _parse_vector(args.v)
     gram = NSGram.rank_one(args.c2)
     record = ReportRecord(
         "square", {"v": v, "c2": args.c2}, {"square": square(v, gram)}
     )
-    return [record], 0
+    return [record]
 
 
-def cmd_isotropic(args) -> tuple[list[ReportRecord], int]:
+def cmd_isotropic(args) -> list[ReportRecord]:
     _require_at_least(args.g, 2, "--g")
     _require_at_least(args.bound, 1, "--bound")
     lat = BBLattice(args.c2, args.g)
@@ -420,10 +418,10 @@ def cmd_isotropic(args) -> tuple[list[ReportRecord], int]:
             "exists_nontrivial": result.exists,
         },
     )
-    return [record], 0
+    return [record]
 
 
-def cmd_dual(args) -> tuple[list[ReportRecord], int]:
+def cmd_dual(args) -> list[ReportRecord]:
     _require_at_least(args.g, 2, "--g")
     _require_at_least(args.n, 2, "--n")
     if args.k_max - args.k_min > DUAL_K_SPAN_MAX:
@@ -446,10 +444,10 @@ def cmd_dual(args) -> tuple[list[ReportRecord], int]:
             "solutions": list(family.solutions),
         },
     )
-    return [record], 0
+    return [record]
 
 
-def cmd_criterion(args) -> tuple[list[ReportRecord], int]:
+def cmd_criterion(args) -> list[ReportRecord]:
     _require_at_least(args.bound, 1, "--bound")
     if args.v is not None:
         if args.c2 is None:
@@ -473,10 +471,10 @@ def cmd_criterion(args) -> tuple[list[ReportRecord], int]:
         {"v": v, "c2": c2, "bound": args.bound},
         {"genus": report.genus, "hits": list(report.hits)},
     )
-    return [record], 0
+    return [record]
 
 
-def cmd_equiv(args) -> tuple[list[ReportRecord], int]:
+def cmd_equiv(args) -> list[ReportRecord]:
     _require_at_least(args.bound, 1, "--bound")
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
@@ -504,10 +502,10 @@ def cmd_equiv(args) -> tuple[list[ReportRecord], int]:
         outputs["values"] = result.values
     if result.witness is not None:
         outputs["witness"] = result.witness
-    return [ReportRecord("equiv", inputs, outputs)], 0
+    return [ReportRecord("equiv", inputs, outputs)]
 
 
-def cmd_verify_paper(args) -> tuple[list[ReportRecord], int]:
+def cmd_verify_paper(args) -> list[ReportRecord]:
     if args.g is not None:
         _require_at_least(args.g, 2, "--g")
         if args.g > CENSUS_GRID_MAX:
@@ -516,12 +514,10 @@ def cmd_verify_paper(args) -> tuple[list[ReportRecord], int]:
         _require_at_least(args.n, 2, "--n")
     g_values = [args.g] if args.g is not None else range(2, 11)
     n_values = [args.n] if args.n is not None else range(2, 11)
-    records = ledger_checks(g_values, n_values)
-    code = 0 if all(rec.passed for rec in records) else 1
-    return records, code
+    return ledger_checks(g_values, n_values)
 
 
-def cmd_census(args) -> tuple[list[ReportRecord], int]:
+def cmd_census(args) -> list[ReportRecord]:
     _require_at_least(args.g_max, 2, "--g-max")
     _require_at_least(args.n_max, 2, "--n-max")
     _require_at_least(args.jobs, 1, "--jobs")
@@ -529,87 +525,62 @@ def cmd_census(args) -> tuple[list[ReportRecord], int]:
         raise UsageError(f"--jobs must be at most {CENSUS_JOBS_MAX}")
     if max(args.g_max, args.n_max) > CENSUS_GRID_MAX:
         raise UsageError(f"--g-max and --n-max must be at most {CENSUS_GRID_MAX}")
-    return census_records(args.g_max, args.n_max, jobs=args.jobs), 0
+    return census_records(args.g_max, args.n_max, jobs=args.jobs)
 
 
 _RENDERERS = {"census": _render_census, "verify-paper": _render_verify}
 
 
-def _pair_arguments(p) -> None:
-    p.add_argument("--v", required=True, help="vector r,c,s")
-    p.add_argument("--u", required=True, help="vector r,c,s")
-    p.add_argument("--c2", type=int, required=True, help="C^2 of the NS generator")
-    p.set_defaults(handler=cmd_pair)
-
-
-def _square_arguments(p) -> None:
-    p.add_argument("--v", required=True, help="vector r,c,s")
-    p.add_argument("--c2", type=int, required=True)
-    p.set_defaults(handler=cmd_square)
-
-
-def _isotropic_arguments(p) -> None:
-    p.add_argument("--c2", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10)
-    p.set_defaults(handler=cmd_isotropic)
-
-
-def _dual_arguments(p) -> None:
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k-min", type=int, default=-2, dest="k_min")
-    p.add_argument("--k-max", type=int, default=2, dest="k_max")
-    p.set_defaults(handler=cmd_dual)
-
-
-def _criterion_arguments(p) -> None:
-    p.add_argument("--v", help="vector r,c,s (defaults to (1, 0, 1-g))")
-    p.add_argument("--c2", type=int)
-    p.add_argument("--g", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--bound", type=int, default=5)
-    p.set_defaults(handler=cmd_criterion)
-
-
-def _equiv_arguments(p) -> None:
-    p.epilog = "Forms are symmetric Gram matrices m11,m12,m22."
-    p.add_argument("--f1", help="form m11,m12,m22")
-    p.add_argument("--f2", help="form m11,m12,m22")
-    p.add_argument("--g", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--bound", type=int, default=10)
-    p.add_argument(
-        "--proper", action="store_true", help="restrict to SL2(Z) equivalence"
-    )
-    p.set_defaults(handler=cmd_equiv)
-
-
-def _verify_paper_arguments(p) -> None:
-    p.add_argument("--g", type=int, help="restrict the grid to one g")
-    p.add_argument("--n", type=int, help="restrict the grid to one n")
-    p.set_defaults(handler=cmd_verify_paper)
-
-
-def _census_arguments(p) -> None:
-    p.add_argument("--g-max", type=int, default=10, dest="g_max")
-    p.add_argument("--n-max", type=int, default=10, dest="n_max")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(handler=cmd_census)
-
-
-# name -> (line in `--help`, function that adds the subcommand's own arguments)
+# name -> (line in `--help`, the subcommand's flags as (flag, add_argument keywords));
+# argparse derives each dest from its flag, "--k-min" -> "k_min"
 _SUBCOMMANDS = {
-    "pair": ("Mukai pairing of two vectors", _pair_arguments),
-    "square": ("Mukai self-pairing", _square_arguments),
-    "isotropic": ("isotropic divisor classes on Hilb^g", _isotropic_arguments),
-    "dual": ("dual-surface data and constraint family", _dual_arguments),
-    "criterion": ("search isotropic classes orthogonal to v", _criterion_arguments),
-    "equiv": ("GL2(Z)-equivalence of two quadratic forms", _equiv_arguments),
-    "verify-paper": ("run the full verification ledger", _verify_paper_arguments),
-    "census": ("one row per (g, n)", _census_arguments),
+    "pair": ("Mukai pairing of two vectors", (
+        ("--v", {"required": True, "help": "vector r,c,s"}),
+        ("--u", {"required": True, "help": "vector r,c,s"}),
+        ("--c2", {"type": int, "required": True, "help": "C^2 of the NS generator"}),
+    )),
+    "square": ("Mukai self-pairing", (
+        ("--v", {"required": True, "help": "vector r,c,s"}),
+        ("--c2", {"type": int, "required": True}),
+    )),
+    "isotropic": ("isotropic divisor classes on Hilb^g", (
+        ("--c2", {"type": int, "required": True}),
+        ("--g", {"type": int, "required": True}),
+        ("--bound", {"type": int, "default": 10}),
+    )),
+    "dual": ("dual-surface data and constraint family", (
+        ("--g", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--k-min", {"type": int, "default": -2}),
+        ("--k-max", {"type": int, "default": 2}),
+    )),
+    "criterion": ("search isotropic classes orthogonal to v", (
+        ("--v", {"help": "vector r,c,s (defaults to (1, 0, 1-g))"}),
+        ("--c2", {"type": int}),
+        ("--g", {"type": int}),
+        ("--n", {"type": int}),
+        ("--bound", {"type": int, "default": 5}),
+    )),
+    "equiv": ("GL2(Z)-equivalence of two quadratic forms", (
+        ("--f1", {"help": "form m11,m12,m22"}),
+        ("--f2", {"help": "form m11,m12,m22"}),
+        ("--g", {"type": int}),
+        ("--n", {"type": int}),
+        ("--d", {"type": int}),
+        ("--bound", {"type": int, "default": 10}),
+        ("--proper", {"action": "store_true", "help": "restrict to SL2(Z) equivalence"}),
+    )),
+    "verify-paper": ("run the full verification ledger", (
+        ("--g", {"type": int, "help": "restrict the grid to one g"}),
+        ("--n", {"type": int, "help": "restrict the grid to one n"}),
+    )),
+    "census": ("one row per (g, n)", (
+        ("--g-max", {"type": int, "default": 10}),
+        ("--n-max", {"type": int, "default": 10}),
+        ("--jobs", {"type": int, "default": 1}),
+    )),
 }
+_EQUIV_EPILOG = "Forms are symmetric Gram matrices m11,m12,m22."
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -622,12 +593,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     lean = {} if command is None else {"metavar": "{" + ",".join(_SUBCOMMANDS) + "}"}
     sub = parser.add_subparsers(dest="command", required=True, **lean)
     for name in _SUBCOMMANDS if command is None else (command,):
-        help_line, add_arguments = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
+        help_line, flags = _SUBCOMMANDS[name]
+        epilog = _EQUIV_EPILOG if name == "equiv" else None
+        p = sub.add_parser(name, help=help_line, epilog=epilog)
         p.add_argument(
             "--json", action="store_true", help="emit newline-delimited JSON records"
         )
-        add_arguments(p)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -657,7 +630,8 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        records, code = args.handler(args)
+        # looked up when called, so a wrapper set on this module's cmd_* is the one run
+        records = globals()["cmd_" + args.command.replace("-", "_")](args)
         # render all output first: an int past str()'s digit limit raises ValueError
         if args.json:
             text = "".join(record.to_json() + "\n" for record in records)
@@ -669,7 +643,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
-    return code
+    return 1 if any(record.passed is False for record in records) else 0
 
 
 if __name__ == "__main__":

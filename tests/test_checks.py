@@ -7,6 +7,7 @@ from k3mukai.checks import (
     double_dual_square,
     extension_square,
     kernel_square,
+    kernel_square_bound,
     tensor_degree_check,
     torsion_degree,
 )
@@ -15,19 +16,18 @@ from k3mukai.mukai import MukaiVector, NSGram, square
 
 class TestDoubleDualSquare:
     def test_violating_example(self):
-        result = double_dual_square(2, 2, 1)
-        assert result.computed == -4
-        assert result.passed
-        assert result.context["bogomolov_violation"]
+        computed, claimed = double_dual_square(2, 2, 1)
+        assert computed == claimed == -4
+        # below -2: the Bogomolov bound is violated
+        assert computed < -2
 
     def test_locally_free_boundary(self):
-        result = double_dual_square(2, 2, 0)
-        assert result.computed == 0
-        assert not result.context["bogomolov_violation"]
+        computed, claimed = double_dual_square(2, 2, 0)
+        assert computed == claimed == 0
 
     def test_direct_recomputation(self):
-        result = double_dual_square(3, 4, 2)
-        assert result.computed == -12 == -2 * 3 * 2
+        computed, _ = double_dual_square(3, 4, 2)
+        assert computed == -12 == -2 * 3 * 2
         # third route: raw pairing on the explicit vector
         gram = NSGram.rank_one(2 * 3 * 9)
         assert square(MukaiVector(3, (1,), 3 * 3 + 2), gram) == -12
@@ -36,9 +36,9 @@ class TestDoubleDualSquare:
         for g in range(2, 21):
             for n in range(2, 21):
                 for length in range(0, 6):
-                    result = double_dual_square(n, g, length)
-                    assert result.passed
-                    assert result.context["bogomolov_violation"] == (length > 0)
+                    computed, claimed = double_dual_square(n, g, length)
+                    assert computed == claimed
+                    assert (computed < -2) == (length > 0)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -49,17 +49,17 @@ class TestDoubleDualSquare:
 
 class TestExtensionSquare:
     def test_motivating_example(self):
-        assert extension_square(2, 2).computed == -10
+        assert extension_square(2, 2)[0] == -10
 
     def test_genus_three(self):
-        assert extension_square(2, 3).computed == -14
+        assert extension_square(2, 3)[0] == -14
 
     def test_grid(self):
         for g in range(2, 21):
             for n in range(2, 21):
-                result = extension_square(n, g)
-                assert result.passed
-                assert result.computed == -2 * (n * g + 1) < -2
+                computed, claimed = extension_square(n, g)
+                assert computed == claimed
+                assert computed == -2 * (n * g + 1) < -2
 
 
 def kernel_square_scan(N, n, g, length, members):
@@ -81,17 +81,17 @@ class TestKernelSquare:
     def test_bogomolov_boundary_at_g(self):
         for n in (2, 3):
             for g in (2, 5):
-                result, n_max = kernel_square(g, n, g, 0)
-                assert result.computed == -2
-                assert n_max == g
+                computed, _ = kernel_square(g, n, g, 0)
+                assert computed == -2
+                assert kernel_square_bound(n, g, 0) == g
 
     def test_exclusion_above_g(self):
-        result, _ = kernel_square(3, 2, 2, 0)
-        assert result.computed == -4 < -2
+        computed, _ = kernel_square(3, 2, 2, 0)
+        assert computed == -4 < -2
 
     def test_positive_square_example(self):
-        result, _ = kernel_square(1, 2, 5, 1)
-        assert result.computed == 2 == -2 - 4 + 8
+        computed, _ = kernel_square(1, 2, 5, 1)
+        assert computed == 2 == -2 - 4 + 8
 
     def test_matches_explicit_vector_square(self):
         # rebuild the kernel class by hand for one family member
@@ -104,8 +104,8 @@ class TestKernelSquare:
             - MukaiVector(0, (1, 0), -k)
             + MukaiVector(0, (0, 0), length)
         )
-        result, _ = kernel_square(N, n, g, length)
-        assert square(vec, gram) == result.computed
+        computed, _ = kernel_square(N, n, g, length)
+        assert square(vec, gram) == computed
 
     def test_one_member_matches_scan_of_family(self):
         # the old raw route rebuilt the class by hand at each member; over a
@@ -115,24 +115,27 @@ class TestKernelSquare:
             for n in range(2, 7):
                 for length in range(0, 3):
                     for N in range(1, 2 * g + 1):
-                        result, _ = kernel_square(N, n, g, length)
+                        computed, _ = kernel_square(N, n, g, length)
                         scanned = kernel_square_scan(N, n, g, length, members)
-                        assert scanned == {result.computed}
+                        assert scanned == {computed}
 
     def test_grid(self):
         for g in range(2, 21):
             for n in range(2, 21):
                 for length in range(0, 6):
+                    n_max = kernel_square_bound(n, g, length)
+                    assert n_max == g // (1 + n * length)
                     for N in range(1, 2 * g + 1):
-                        result, n_max = kernel_square(N, n, g, length)
-                        assert result.passed
-                        assert n_max == g // (1 + n * length)
+                        computed, claimed = kernel_square(N, n, g, length)
+                        assert computed == claimed
                         # the bound is sharp: N <= n_max iff square >= -2
-                        assert (result.computed >= -2) == (N <= n_max)
+                        assert (computed >= -2) == (N <= n_max)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             kernel_square(0, 2, 2, 0)
+        with pytest.raises(ValueError):
+            kernel_square_bound(2, 2, -1)
 
 
 class TestTorsionDegree:
@@ -163,17 +166,18 @@ class TestTorsionDegree:
 
 class TestTensorDegree:
     def test_motivating_example(self):
-        result = tensor_degree_check(2, 2)
-        assert result.computed == result.claimed == 8
+        computed, claimed = tensor_degree_check(2, 2)
+        assert computed == claimed == 8
 
     def test_larger_example(self):
-        result = tensor_degree_check(5, 3)
-        assert result.computed == result.claimed == 72
+        computed, claimed = tensor_degree_check(5, 3)
+        assert computed == claimed == 72
 
     def test_identity_on_grid(self):
         for g in range(2, 21):
             for n in range(2, 21):
-                assert tensor_degree_check(g, n).passed
+                computed, claimed = tensor_degree_check(g, n)
+                assert computed == claimed
 
 
 class TestBrillNoetherData:
