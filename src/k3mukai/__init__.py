@@ -11,7 +11,6 @@ from .bb import (
     BBClass,
     BBLattice,
     IsotropicSearch,
-    bb_square,
     find_isotropic,
     fujiki_degree,
     isotropic_exists,
@@ -39,7 +38,6 @@ from .dual_surface import (
     member_gram,
     quotient_lattice,
     solve_transform_constraints,
-    unit_pairing,
     verify_solution,
 )
 from .mukai import (
@@ -62,7 +60,6 @@ from .quadforms import (
     canonical,
     equivalent,
     gen_picard_determinant,
-    hilb_picard_form,
     isotropic_lines,
     picard_scheme_form,
 )

@@ -20,7 +20,6 @@ __all__ = [
     "BBClass",
     "BBLattice",
     "IsotropicSearch",
-    "bb_square",
     "isotropic_exists",
     "find_isotropic",
     "fujiki_degree",
@@ -35,9 +34,6 @@ class BBClass(Value):
     def __init__(self, a: int, b: int):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def __add__(self, other: "BBClass") -> "BBClass":
-        return BBClass(self.a + other.a, self.b + other.b)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"
@@ -57,11 +53,6 @@ class BBLattice(Value):
     @property
     def form(self) -> QuadForm2:
         return QuadForm2(self.c2, 0, -2 * (self.g - 1))
-
-
-def bb_square(cls: BBClass, lat: BBLattice) -> int:
-    """Beauville-Bogomolov square a^2 c2 - 2(g-1) b^2."""
-    return lat.form.value(cls.a, cls.b)
 
 
 class IsotropicSearch(Value):

@@ -59,11 +59,12 @@ def kernel_square(N: int, n: int, g: int, length: int) -> tuple[int, int]:
     Claimed value -2N - 2Nn*length + 2(g-1); the raw route evaluates the
     vector at the family member (k, l) = (0, 0), in its `member_gram`.  One
     member settles every member: the square expands into N^2 times the
-    square of (n, +-E, l), -2N times `unit_pairing`, the square of
-    (0, D, k), and pairings with (0, 0, 1) that do not move with (k, l).
-    The first three are pairings the transform preserves, so `family_holds`
-    (the ledger's `transform_constraints` record) fixes them at 0, 1 and
-    2g - 2 for every integer (k, l).
+    square of (n, +-E, l), 2N times the pairing of (0, D, k) with
+    (n, -E, l), the square of (0, D, k), and pairings with (0, 0, 1) that
+    do not move with (k, l).  The first three are pairings the transform
+    preserves, so `family_holds` (the ledger's `transform_constraints`
+    record) fixes them at 0, -1 and 2g - 2, their source values, for every
+    integer (k, l).
     """
     _require(N >= 1 and n >= 2 and g >= 2 and length >= 0, "bad kernel arguments")
     vec = MukaiVector(N * n, (-1, N), length)  # the kernel class at k = l = 0

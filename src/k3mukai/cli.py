@@ -21,7 +21,7 @@ import re
 import sys
 from math import isqrt
 
-from .bb import BBClass, BBLattice, bb_square, find_isotropic, fujiki_degree
+from .bb import BBLattice, find_isotropic, fujiki_degree
 from .checks import (
     brill_noether_data,
     double_dual_square,
@@ -46,13 +46,7 @@ from .mukai import (
     pairing,
     square,
 )
-from .quadforms import (
-    QuadForm2,
-    equivalent,
-    gen_picard_determinant,
-    hilb_picard_form,
-    picard_scheme_form,
-)
+from .quadforms import QuadForm2, equivalent, gen_picard_determinant, picard_scheme_form
 from .value import Value
 
 __all__ = ["ReportRecord", "ledger_checks", "census_records", "main"]
@@ -153,12 +147,8 @@ def _point_checks(g: int, n: int) -> list[ReportRecord]:
             "base_dim": report.base_dim,
             "fine": report.fine,
         },
-        square(w, gram) == 0
-        and is_primitive(w)
-        and report.gerbe_order == n
-        and report.d_square == 2 * g - 2
-        and report.base_dim == g
-        and not report.fine,
+        # each other field has a record of its own below
+        not report.fine,
     )
     add_eq("w_isotropic", square(w, gram), 0)
     add_eq("w_primitive", is_primitive(w), True)
@@ -167,13 +157,12 @@ def _point_checks(g: int, n: int) -> list[ReportRecord]:
     add_eq("euler_characteristic", euler_characteristic(w, gram), g * n)
     add_eq("base_dimension", report.base_dim, g)
 
-    # Fujiki degree trichotomy on the rank-two divisor lattice
-    lat = BBLattice(c2, g)
-    ample = BBClass(1, 0)
-    isotropic = BBClass(1, n)
-    q_ample = bb_square(ample, lat)
-    q_iso = bb_square(isotropic, lat)
-    q_mixed = (bb_square(ample + isotropic, lat) - q_ample - q_iso) // 2
+    # Fujiki degree trichotomy on Pic(Hilb^g S) = diag(c2, -2(g-1)), which the
+    # Picard-form records compare too; q_mixed polarizes ample (1, 0), isotropic (1, n)
+    hilb = BBLattice(c2, g).form
+    q_ample = hilb.value(1, 0)
+    q_iso = hilb.value(1, n)
+    q_mixed = (hilb.value(2, n) - q_ample - q_iso) // 2
     add_eq(
         "fujiki_isotropic_degree",
         fujiki_degree(q_ample, q_mixed, q_iso, g),
@@ -240,7 +229,6 @@ def _point_checks(g: int, n: int) -> list[ReportRecord]:
         hilb_det == -c2 and dual_det == -(2 * g - 2) and hilb_det != dual_det,
     )
 
-    hilb = hilb_picard_form(g, n)
     for d in range(0, 4 * g + 1):
         scheme = picard_scheme_form(g, d)
         verdict = equivalent(hilb, scheme.form)
@@ -488,7 +476,7 @@ def cmd_equiv(args) -> list[ReportRecord]:
         _require_at_least(args.n, 2, "--n")
         if args.d < 0:
             raise UsageError("--d must be non-negative")
-        f1 = hilb_picard_form(args.g, args.n)
+        f1 = BBLattice(2 * (args.g - 1) * args.n * args.n, args.g).form
         f2 = picard_scheme_form(args.g, args.d).form
         inputs = {"g": args.g, "n": args.n, "d": args.d, "bound": args.bound}
     det = f1.determinant()

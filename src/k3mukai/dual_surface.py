@@ -55,7 +55,6 @@ __all__ = [
     "family_ranges",
     "family_holds",
     "verify_solution",
-    "unit_pairing",
     "member_gram",
     "general_fibration_criterion",
 ]
@@ -83,10 +82,9 @@ class DualSurfaceReport(Value):
 class QuotientClass(Value):
     """Generator of the rank-one quotient w-perp / Z.w and its square."""
 
-    def __init__(self, generator_image: MukaiVector, square: int, primitive: bool):
+    def __init__(self, generator_image: MukaiVector, square: int):
         object.__setattr__(self, "generator_image", generator_image)
         object.__setattr__(self, "square", square)
-        object.__setattr__(self, "primitive", primitive)
 
 
 def quotient_lattice(w: MukaiVector, gram: NSGram) -> QuotientClass:
@@ -105,11 +103,12 @@ def quotient_lattice(w: MukaiVector, gram: NSGram) -> QuotientClass:
     b1, b2 = perp_basis(w, gram)
     alpha = w.c[0] // b1.c[0]
     beta = (w.r - alpha * b1.r) // b2.r if b2.r else (w.s - alpha * b1.s) // b2.s
-    g0, x, y = xgcd(alpha, beta)
-    # [[alpha, beta], [-y, x]] is unimodular when g0 == 1, so the second row
-    # maps onto a generator of the quotient
+    # gcd(alpha, beta) = 1, or w / gcd would be an integral vector of the
+    # saturated w-perp and w not primitive; so [[alpha, beta], [-y, x]] is
+    # unimodular, and its second row maps onto a generator of the quotient
+    _, x, y = xgcd(alpha, beta)
     generator = (-y) * b1 + x * b2
-    return QuotientClass(generator, square(generator, gram), g0 == 1)
+    return QuotientClass(generator, square(generator, gram))
 
 
 def build_dual(g: int, n: int) -> DualSurfaceReport:
@@ -185,20 +184,7 @@ def verify_solution(g: int, n: int, sol: ConstraintSolution) -> bool:
         for b, img_b in table[i:]:
             if pairing(a, b, src) != pairing(img_a, img_b, dst):
                 return False
-    return unit_pairing(g, n, sol) == 1
-
-
-def unit_pairing(g: int, n: int, sol: ConstraintSolution) -> int:
-    """Pairing of the rank-n bundle class (n, E, l) with the curve class
-    (0, D, -k), evaluated in the (D, E) lattice.
-
-    The transform matches this against the pairing of (0, 0, 1) with
-    -(1, 0, 1-g), so on the constraint family it must equal one.
-    """
-    dst = member_gram(g, n, sol)
-    bundle = MukaiVector(n, (0, 1), sol.l)
-    curve = MukaiVector(0, (1, 0), -sol.k)
-    return pairing(bundle, curve, dst)
+    return True
 
 
 def _member(n: int, k: int, l: int) -> ConstraintSolution:
@@ -221,10 +207,11 @@ def family_holds(g: int, n: int) -> bool:
     keep their rank and NS coordinates; only their s-components k, l and
     the target Gram entries de = 1 - n*k, e2 = 2*n*l move, each affinely in
     (k, l).  A Mukai pairing is bilinear, and no term multiplies two moving
-    quantities, so each preserved pairing minus its fixed source value, and
-    `unit_pairing` minus one, is an affine function a + b*k + c*l.  It
-    vanishes at (0, 0), (1, 0) and (0, 1) exactly when a = b = c = 0, that
-    is, at every integer (k, l).
+    quantities, so each preserved pairing minus its fixed source value is an
+    affine function a + b*k + c*l.  It vanishes at (0, 0), (1, 0) and
+    (0, 1) exactly when a = b = c = 0, that is, at every integer (k, l).
+    One of them, <(0, D, k), (n, -E, l)> = -de - n*k held at
+    <(1, 0, 1-g), (0, 0, 1)> = -1, is the unit pairing de + n*k = 1.
     """
     return all(
         verify_solution(g, n, _member(n, k, l)) for k, l in ((0, 0), (1, 0), (0, 1))

@@ -13,7 +13,6 @@ for, the determinant always settles the question.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from .value import Value
 
@@ -21,7 +20,6 @@ __all__ = [
     "QuadForm2",
     "PicardSchemeForm",
     "EquivalenceResult",
-    "hilb_picard_form",
     "picard_scheme_form",
     "canonical",
     "equivalent",
@@ -87,21 +85,15 @@ def isotropic_lines(form: QuadForm2) -> tuple[tuple[int, int], ...]:
     return tuple((x // gcd(x, y), y // gcd(x, y)) for x, y in directions)
 
 
-def hilb_picard_form(g: int, n: int) -> QuadForm2:
-    """Picard Gram matrix diag(2(g-1)n^2, -2(g-1)) of the Hilbert scheme."""
-    if g < 2 or n < 2:
-        raise ValueError("hilb_picard_form requires g >= 2 and n >= 2")
-    return QuadForm2(2 * (g - 1) * n * n, 0, -2 * (g - 1))
-
-
-class PicardSchemeForm(NamedTuple):
+class PicardSchemeForm(Value):
     """Picard Gram matrix of a degree-d relative compactified Picard scheme,
     with the generators (0, 0, 1) and (a0, b0 D, 0) that produce it."""
 
-    form: QuadForm2
-    a0: int
-    b0: int
-    ell: int
+    def __init__(self, form: QuadForm2, a0: int, b0: int, ell: int):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "b0", b0)
+        object.__setattr__(self, "ell", ell)
 
 
 def picard_scheme_form(g: int, d: int) -> PicardSchemeForm:

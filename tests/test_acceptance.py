@@ -18,12 +18,7 @@ from k3mukai.dual_surface import (
     solve_transform_constraints,
 )
 from k3mukai.mukai import MukaiVector, NSGram, dual, pairing, square
-from k3mukai.quadforms import (
-    QuadForm2,
-    equivalent,
-    hilb_picard_form,
-    picard_scheme_form,
-)
+from k3mukai.quadforms import QuadForm2, equivalent, picard_scheme_form
 
 CASES = 10_000
 
@@ -79,7 +74,7 @@ def test_criterion_quadform_sweep():
     count = 0
     for g in range(2, 11):
         for n in range(2, 11):
-            hilb = hilb_picard_form(g, n)
+            hilb = BBLattice(2 * (g - 1) * n * n, g).form
             for d in range(0, 4 * g + 1):
                 scheme = picard_scheme_form(g, d)
                 result = equivalent(hilb, scheme.form)
@@ -125,7 +120,6 @@ def test_criterion_oracle_equivalence():
             w = MukaiVector(n, (1,), (g - 1) * n)
             result = quotient_lattice(w, gram)
             reported = result.square
-            assert result.primitive
             assert pairing(w, result.generator_image, gram) == 0
             assert square(result.generator_image, gram) == reported
             unit_seen = False

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from k3mukai.bb import (
     BBClass,
     BBLattice,
-    bb_square,
     find_isotropic,
     fujiki_degree,
     isotropic_exists,
@@ -54,13 +53,13 @@ class TestBBSquare:
     @pytest.mark.parametrize("g,n", [(2, 2), (3, 2), (4, 3)])
     def test_isotropic_diagonal_class(self, g, n):
         lat = BBLattice(2 * (g - 1) * n * n, g)
-        assert bb_square(BBClass(1, n), lat) == 0
+        assert lat.form.value(1, n) == 0
 
     def test_pure_curve_class(self):
-        assert bb_square(BBClass(1, 0), BBLattice(8, 2)) == 8
+        assert BBLattice(8, 2).form.value(1, 0) == 8
 
     def test_exceptional_class(self):
-        assert bb_square(BBClass(0, 1), BBLattice(8, 5)) == -8
+        assert BBLattice(8, 5).form.value(0, 1) == -8
 
 
 class TestBBLattice:
@@ -110,7 +109,7 @@ class TestFindIsotropic:
                 for cls in find_isotropic(lat, 2 * (g - 1)).classes:
                     assert cls.a > 0
                     assert gcd(cls.a, cls.b) == 1
-                    assert bb_square(cls, lat) == 0
+                    assert lat.form.value(cls.a, cls.b) == 0
 
     def test_list_matches_box_oracle(self):
         # frozen from the oracle with |a|, |b| <= 10
@@ -273,4 +272,4 @@ def test_bb_square_matches_mukai_divisor_square(c2, g, a, b):
     # square must agree with the rank-two Mukai NS dot product
     lat = BBLattice(c2, g)
     gram = NSGram.rank_two(c2, 0, -2 * (g - 1))
-    assert bb_square(BBClass(a, b), lat) == gram.dot((a, b), (a, b))
+    assert lat.form.value(a, b) == gram.dot((a, b), (a, b))

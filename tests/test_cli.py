@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -183,6 +184,12 @@ class TestEquiv:
     def test_missing_inputs(self, capsys):
         code, _, err = run_cli(capsys, "equiv", "--g", "2")
         assert code == 2
+
+    def test_picard_family_needs_g_and_n_at_least_2(self, capsys):
+        for g, n in [("2", "1"), ("1", "2")]:
+            code, out, err = run_cli(capsys, "equiv", "--g", g, "--n", n, "--d", "0")
+            assert (code, out) == (2, "")
+            assert "must be at least 2" in err
 
     def test_shared_determinant_certified_by_canonical_forms(self, capsys):
         # contents 1 and 2, but only the canonical forms are reported
@@ -443,16 +450,19 @@ class TestParser:
     def test_import_leaves_thread_pool_unloaded(self):
         # the pool is imported only when census runs with --jobs above 1, json
         # and fractions on first use, and no value type uses dataclasses
-        # (whose import pulls in inspect); modules that the interpreter loaded
-        # before k3mukai are not counted
+        # (whose import pulls in inspect) or typing; -S keeps `site` from
+        # preloading modules, so the probe puts the package's directory on
+        # sys.path itself, and modules loaded before k3mukai are not counted
+        src = os.path.dirname(os.path.dirname(k3mukai.checks.__file__))
         probe = (
-            "import sys; before = set(sys.modules); import k3mukai.cli; "
+            f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+            "import k3mukai.cli; "
             "watched = ('dataclasses', 'inspect', 'json', 'fractions', 'decimal', "
-            "'concurrent.futures'); "
+            "'concurrent.futures', 'typing'); "
             "print(sorted(m for m in watched if m in sys.modules and m not in before))"
         )
         result = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
         )
         assert result.stdout == "[]\n"
 

@@ -22,7 +22,6 @@ from k3mukai.dual_surface import (
     member_gram,
     quotient_lattice,
     solve_transform_constraints,
-    unit_pairing,
     verify_solution,
 )
 from k3mukai.mukai import (
@@ -86,7 +85,6 @@ class TestQuotientLattice:
     def test_motivating_example(self):
         result = quotient_lattice(MukaiVector(2, (1,), 2), NSGram.rank_one(8))
         assert result.square == 2
-        assert result.primitive
 
     def test_generator_is_orthogonal_lift(self):
         gram = NSGram.rank_one(8)
@@ -131,6 +129,15 @@ class TestQuotientLattice:
                     if value == reported:
                         unit_seen = True
                 assert unit_seen
+
+
+def unit_pairing(g, n, sol):
+    """The deleted library route, kept as an oracle: the pairing
+    <(n, E, l), (0, D, -k)> = de + n*k of the bundle and curve classes."""
+    dst = member_gram(g, n, sol)
+    bundle = MukaiVector(n, (0, 1), sol.l)
+    curve = MukaiVector(0, (1, 0), -sol.k)
+    return pairing(bundle, curve, dst)
 
 
 def isometry_system_holds(g, n, k, l, de, e2):
@@ -212,6 +219,27 @@ class TestTransformConstraints:
                         assert isometry_system_holds(g, n, k, l, de, e2) == expected
                         sol = ConstraintSolution(k, l, de, e2)
                         assert verify_solution(g, n, sol) == expected
+
+    def test_unit_pairing_is_a_table_pairing(self):
+        # unit pairing == 1 exactly when the table's <(0, D, k), (n, -E, l)>
+        # equals its source value <(1, 0, 1-g), (0, 0, 1)> = -1
+        g, n = 3, 2
+        src = NSGram.rank_one(2 * (g - 1) * n * n)
+        source = pairing(MukaiVector(1, (0,), 1 - g), MukaiVector(0, (0,), 1), src)
+        assert source == -1
+        count = 0
+        for k in range(-3, 4):
+            for l in range(-3, 4):
+                for de in range(-7, 8):
+                    for e2 in range(-12, 13, 2):
+                        sol = ConstraintSolution(k, l, de, e2)
+                        dst = member_gram(g, n, sol)
+                        image = pairing(
+                            MukaiVector(0, (1, 0), k), MukaiVector(n, (0, -1), l), dst
+                        )
+                        assert (unit_pairing(g, n, sol) == 1) == (image == source)
+                        count += (image == source)
+        assert count == 7 * 7 * 13  # de = 1 - n*k for each k, any l and e2
 
 
 def members_all_verify(g, n, member, box=10):

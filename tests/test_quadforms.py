@@ -8,16 +8,21 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from k3mukai.bb import BBLattice
 from k3mukai.mukai import MukaiVector, NSGram, pairing
 from k3mukai.quadforms import (
     QuadForm2,
     canonical,
     equivalent,
     gen_picard_determinant,
-    hilb_picard_form,
     isotropic_lines,
     picard_scheme_form,
 )
+
+
+def hilb_picard_form(g, n):
+    """Pic(Hilb^g S) for C^2 = 2(g-1)n^2, as the ledger builds it."""
+    return BBLattice(2 * (g - 1) * n * n, g).form
 
 
 class TestQuadForm2:
@@ -98,6 +103,8 @@ class TestIsotropicLines:
 
 
 class TestHilbPicardForm:
+    """The BB lattice's form is the Picard form diag(2(g-1)n^2, -2(g-1))."""
+
     def test_motivating_example(self):
         assert hilb_picard_form(2, 2) == QuadForm2(8, 0, -2)
 
@@ -107,14 +114,9 @@ class TestHilbPicardForm:
     def test_determinant_formula(self):
         for g in range(2, 11):
             for n in range(2, 11):
-                form = hilb_picard_form(g, n)
+                form = BBLattice(2 * (g - 1) * n * n, g).form
+                assert form == QuadForm2(2 * (g - 1) * n * n, 0, -2 * (g - 1))
                 assert form.determinant() == -4 * (g - 1) ** 2 * n * n
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            hilb_picard_form(1, 2)
-        with pytest.raises(ValueError):
-            hilb_picard_form(2, 1)
 
 
 class TestPicardSchemeForm:

@@ -15,6 +15,7 @@ from k3mukai import (
     IsotropicSearch,
     MukaiVector,
     NSGram,
+    PicardSchemeForm,
     Polarization,
     QuadForm2,
     QuotientClass,
@@ -32,6 +33,7 @@ SAMPLES = {
     MukaiVector: lambda: MukaiVector(1, (2,), 3),
     Polarization: lambda: Polarization((1,)),
     QuadForm2: lambda: QuadForm2(1, 2, 3),
+    PicardSchemeForm: lambda: PicardSchemeForm(QuadForm2(0, -2, 2), 2, 1, 1),
     EquivalenceResult: lambda: EquivalenceResult(
         "not_equivalent", certificate="determinant", values=(-4, -3)
     ),
@@ -39,7 +41,7 @@ SAMPLES = {
     BBLattice: lambda: BBLattice(8, 2),
     IsotropicSearch: lambda: IsotropicSearch((BBClass(1, 2),), True),
     DualSurfaceReport: lambda: DualSurfaceReport(W, 2, 2, 2, False, 2),
-    QuotientClass: lambda: QuotientClass(W, 2, True),
+    QuotientClass: lambda: QuotientClass(W, 2),
     ConstraintSolution: lambda: ConstraintSolution(k=0, l=0, de=1, e2=0),
     TransformConstraintFamily: lambda: TransformConstraintFamily(
         2, 2, ("de + 2*k == 1",), (SOLUTION,)
