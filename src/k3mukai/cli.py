@@ -16,9 +16,9 @@ Exit codes: 0 success, 1 when a record fails ("pass" false), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import io
 import re
 import sys
+from functools import cache
 from math import isqrt
 
 from .bb import BBLattice, find_isotropic, fujiki_degree
@@ -61,7 +61,7 @@ CENSUS_GRID_MAX = 100
 # Largest -det of `equiv` forms sharing a negative non-square determinant: their
 # cycle of reduced forms grows like sqrt(-det), to about 4,300 forms and 20 ms.
 EQUIV_DET_MAX = 10**6
-# Largest `census --jobs`; each job is a thread, and the census is CPU-bound.
+# Largest `census --jobs`, a flag that is checked and then ignored.
 CENSUS_JOBS_MAX = 8
 
 
@@ -77,8 +77,17 @@ def _encode(value):
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
+@cache
+def _json_encoder():
+    import json  # imported on first use: table output never needs it
+    return json.JSONEncoder(separators=(",", ":"), default=_encode)
+
+
 def _format_value(value) -> str:
-    if isinstance(value, bool):
+    kind = type(value)
+    if kind is int or kind is str:  # exact types: a bool prints as true/false
+        return str(value)
+    if kind is bool:
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_format_value(x) for x in value) + "]"
@@ -101,11 +110,10 @@ class ReportRecord(Value):
         self.passed = passed
 
     def to_json(self) -> str:
-        import json  # imported on first use: table output never needs it
         obj = {"command": self.command, "inputs": self.inputs, "outputs": self.outputs}
         if self.passed is not None:
             obj["pass"] = self.passed
-        return json.dumps(obj, separators=(",", ":"), default=_encode)
+        return _json_encoder().encode(obj)
 
     @classmethod
     def from_json(cls, line: str) -> "ReportRecord":
@@ -267,68 +275,61 @@ def ledger_checks(g_values, n_values) -> list[ReportRecord]:
 # census
 
 
-def _census_record(point: tuple[int, int]) -> ReportRecord:
-    g, n = point
-    report = build_dual(g, n)
-    return ReportRecord(
-        "census",
-        {"g": g, "n": n},
-        {
-            "c2": 2 * (g - 1) * n * n,
-            "w": report.w,
-            "d_square": report.d_square,
-            "gerbe_order": report.gerbe_order,
-            "fine": report.fine,
-            "base_dim": report.base_dim,
-        },
-    )
-
-
 def census_records(g_max: int, n_max: int, jobs: int = 1) -> list[ReportRecord]:
-    """One record per grid point, ordered by (g, n) regardless of jobs."""
-    grid = [(g, n) for g in range(2, g_max + 1) for n in range(2, n_max + 1)]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor  # slow import, rarely used
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_census_record, grid))
-    return [_census_record(point) for point in grid]
+    """One record per grid point, ordered by (g, n).
+
+    `jobs` has no effect: the census is CPU-bound Python, which threads only
+    slow down under the GIL.
+    """
+    records = []
+    for g in range(2, g_max + 1):
+        for n in range(2, n_max + 1):
+            report = build_dual(g, n)
+            outputs = {
+                "c2": 2 * (g - 1) * n * n,
+                "w": report.w,
+                "d_square": report.d_square,
+                "gerbe_order": report.gerbe_order,
+                "fine": report.fine,
+                "base_dim": report.base_dim,
+            }
+            records.append(ReportRecord("census", {"g": g, "n": n}, outputs))
+    return records
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _render_default(records, out):
+def _render_default(records) -> str:
+    lines = []
     for rec in records:
-        print(rec.command, file=out)
+        lines.append(rec.command + "\n")
         items = list(rec.inputs.items()) + list(rec.outputs.items())
         if rec.passed is not None:
             items.append(("pass", rec.passed))
         width = max(len(key) for key, _ in items)
-        for key, value in items:
-            print(f"  {key:<{width}} = {_format_value(value)}", file=out)
+        lines.extend(f"  {k:<{width}} = {_format_value(v)}\n" for k, v in items)
+    return "".join(lines)
 
 
 _CENSUS_COLUMNS = ("g", "n", "c2", "w", "d_square", "gerbe_order", "fine", "base_dim")
 
 
-def _render_census(records, out):
-    rows = []
+def _render_census(records) -> str:
+    # a census record's inputs, then its outputs, are the columns in order
+    rows = [_CENSUS_COLUMNS]
     for rec in records:
-        merged = {**rec.inputs, **rec.outputs}
-        rows.append([_format_value(merged[col]) for col in _CENSUS_COLUMNS])
-    widths = [
-        max(len(col), *(len(row[i]) for row in rows)) if rows else len(col)
-        for i, col in enumerate(_CENSUS_COLUMNS)
-    ]
-    header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(_CENSUS_COLUMNS))
-    print(header.rstrip(), file=out)
-    for row in rows:
-        line = "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        print(line.rstrip(), file=out)
+        rows.append([_format_value(v) for v in {**rec.inputs, **rec.outputs}.values()])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
+        for row in rows
+    )
 
 
-def _render_verify(records, out):
+def _render_verify(records) -> str:
+    lines = []
     for rec in records:
         status = "ok" if rec.passed else "FAIL"
         context = " ".join(
@@ -339,9 +340,10 @@ def _render_verify(records, out):
         outputs = " ".join(
             f"{key}={_format_value(value)}" for key, value in rec.outputs.items()
         )
-        print(f"{status:<5} {rec.inputs['check']:<26} {context:<18} {outputs}", file=out)
+        lines.append(f"{status:<5} {rec.inputs['check']:<26} {context:<18} {outputs}\n")
     passed = sum(1 for rec in records if rec.passed)
-    print(f"verify-paper: {passed}/{len(records)} checks passed", file=out)
+    lines.append(f"verify-paper: {passed}/{len(records)} checks passed\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +422,10 @@ def cmd_dual(args) -> list[ReportRecord]:
         "dual",
         {"g": args.g, "n": args.n, "k_min": args.k_min, "k_max": args.k_max},
         {
+            # every field of the report, in its order, with c2 after w
             "w": report.w,
             "c2": 2 * (args.g - 1) * args.n * args.n,
-            "d_square": report.d_square,
-            "gerbe_order": report.gerbe_order,
-            "base_dim": report.base_dim,
-            "fine": report.fine,
-            "polarization_dual": report.polarization_dual,
-            "d_ample_assumed": report.d_ample_assumed,
+            **vars(report),
             "constraints": list(family.equations),
             "solutions": list(family.solutions),
         },
@@ -571,24 +569,40 @@ _SUBCOMMANDS = {
 _EQUIV_EPILOG = "Forms are symmetric Gram matrices m11,m12,m22."
 
 
+class _LoneParseError(Exception):
+    """A lone subcommand parser met an error; the full parser reports it."""
+
+
+class _LoneParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _LoneParseError
+
+
+def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give `parser` the epilog and flags of subcommand `name`."""
+    parser.epilog = _EQUIV_EPILOG if name == "equiv" else None
+    parser.add_argument(
+        "--json", action="store_true", help="emit newline-delimited JSON records"
+    )
+    for flag, keywords in _SUBCOMMANDS[name][1]:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with `command`'s subparser alone."""
+    """The full parser, or `command`'s subparser alone, which reads the
+    arguments after the name and raises `_LoneParseError` on any error."""
+    if command is not None:
+        parser = _LoneParser(prog="k3mukai " + command)
+        parser.set_defaults(command=command)
+        return _add_flags(parser, command)
     parser = argparse.ArgumentParser(
         prog="k3mukai",
         description="Exact Mukai-lattice arithmetic for K3 surfaces",
     )
-    # the lean usage line, printed with top-level errors, still lists every name
-    lean = {} if command is None else {"metavar": "{" + ",".join(_SUBCOMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="command", required=True, **lean)
-    for name in _SUBCOMMANDS if command is None else (command,):
-        help_line, flags = _SUBCOMMANDS[name]
-        epilog = _EQUIV_EPILOG if name == "equiv" else None
-        p = sub.add_parser(name, help=help_line, epilog=epilog)
-        p.add_argument(
-            "--json", action="store_true", help="emit newline-delimited JSON records"
-        )
-        for flag, keywords in flags:
-            p.add_argument(flag, **keywords)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _) in _SUBCOMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_line), name)
     return parser
 
 
@@ -614,9 +628,17 @@ def _join_negative_lists(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _join_negative_lists(sys.argv[1:] if argv is None else argv)
-    # --help, a missing or unknown command, or a leading flag need every subparser
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # the named subcommand's parser alone reads the call; no command, an
+    # unknown one, a leading flag and every error go to the full parser,
+    # which prints each usage error
+    args = None
+    if argv and argv[0] in _SUBCOMMANDS:
+        try:
+            args = build_parser(argv[0]).parse_args(argv[1:])
+        except _LoneParseError:
+            pass
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         # looked up when called, so a wrapper set on this module's cmd_* is the one run
         records = globals()["cmd_" + args.command.replace("-", "_")](args)
@@ -624,9 +646,7 @@ def main(argv=None) -> int:
         if args.json:
             text = "".join(record.to_json() + "\n" for record in records)
         else:
-            out = io.StringIO()
-            _RENDERERS.get(args.command, _render_default)(records, out)
-            text = out.getvalue()
+            text = _RENDERERS.get(args.command, _render_default)(records)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

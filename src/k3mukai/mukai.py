@@ -7,16 +7,18 @@ Mukai lattice is Z + NS + Z and the Mukai pairing is
 
     <(r, c, s), (r', c', s')> = c.G.c' - r*s' - r'*s.
 
-Everything here is exact: components are arbitrary-precision Python
-integers, slopes are `fractions.Fraction` values in lowest terms, and no
-floating point appears anywhere.  All values are immutable, so every
-function in this module is safe to call from concurrent threads.
+Everything here is exact: components are Python integers of any size (a
+float raises TypeError rather than being truncated), slopes are
+`fractions.Fraction` values in lowest terms, and no floating point appears
+anywhere.  All values are immutable, so every function in this module is
+safe to call from concurrent threads.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 from .value import Value
 
@@ -38,7 +40,8 @@ __all__ = [
 # Entries kept per NSGram constructor cache.  A full 2 <= g, n <= 10 ledger
 # sweep asks for 69 distinct rank-one and 252 distinct rank-two Gram
 # matrices, so a sweep repeated in one process never evicts; the bound only
-# stops a long-lived process from growing with every distinct input.
+# stops a long-lived process from growing with every distinct input.  The
+# caches are typed, so that 8.0 misses the entry of 8 and is rejected.
 GRAM_CACHE_SIZE = 512
 
 
@@ -52,7 +55,7 @@ class NSGram(Value):
     """
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(tuple(map(index, row)) for row in entries)
         object.__setattr__(self, "entries", entries)
         k = len(entries)
         if k not in (1, 2):
@@ -65,12 +68,12 @@ class NSGram(Value):
             raise ValueError("Gram diagonal must be even (K3 Neron-Severi lattice)")
 
     @classmethod
-    @lru_cache(maxsize=GRAM_CACHE_SIZE)
+    @lru_cache(maxsize=GRAM_CACHE_SIZE, typed=True)
     def rank_one(cls, c_squared: int) -> "NSGram":
         return cls(((c_squared,),))
 
     @classmethod
-    @lru_cache(maxsize=GRAM_CACHE_SIZE)
+    @lru_cache(maxsize=GRAM_CACHE_SIZE, typed=True)
     def rank_two(cls, q11: int, q12: int, q22: int) -> "NSGram":
         return cls(((q11, q12), (q12, q22)))
 
@@ -100,14 +103,14 @@ class MukaiVector(Value):
     """
 
     def __init__(self, r: int, c: tuple[int, ...], s: int):
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", index(r))
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", index(s))
         self.__post_init__()
 
     def __post_init__(self):
         # a method of its own, so that a tracer can wrap it to count vectors built
-        object.__setattr__(self, "c", tuple(int(x) for x in self.c))
+        object.__setattr__(self, "c", tuple(map(index, self.c)))
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         self._check_rank(other)
@@ -157,7 +160,7 @@ class Polarization(Value):
     """NS coordinates of the ample class used to measure degrees."""
 
     def __init__(self, h: tuple[int, ...]):
-        object.__setattr__(self, "h", tuple(int(x) for x in h))
+        object.__setattr__(self, "h", tuple(map(index, h)))
 
     def is_positive(self, gram: NSGram) -> bool:
         """An honest polarization has positive self-intersection."""

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k3mukai.checks
+import k3mukai.cli
 from k3mukai.cli import (
     CENSUS_GRID_MAX,
     CENSUS_JOBS_MAX,
@@ -24,6 +25,7 @@ from k3mukai.cli import (
     ledger_checks,
     main,
 )
+from test_golden import PARSER_CASES, TRANSCRIPTS
 
 
 def run_cli(capsys, *argv):
@@ -432,24 +434,30 @@ class TestDeterminism:
         assert first.stdout
 
 
-class TestParser:
-    @staticmethod
-    def registered(parser):
-        (action,) = [
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        return list(action.choices)
+def option_signature(parser):
+    return [
+        (a.option_strings, a.dest, a.default, a.type, a.required, a.nargs, a.const)
+        for a in parser._actions
+    ]
 
-    def test_lean_parser_registers_only_its_subcommand(self):
-        assert self.registered(build_parser("pair")) == ["pair"]
-        assert self.registered(build_parser()) == [
-            "pair", "square", "isotropic", "dual", "criterion", "equiv",
-            "verify-paper", "census",
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(_SUBCOMMANDS))
+    def test_lone_parser_equals_full_subparser(self, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        (action,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
         ]
+        full, lone = action.choices[name], build_parser(name)
+        assert lone.format_help() == full.format_help()
+        assert option_signature(lone) == option_signature(full)
+        # the full parser sets `command` from the name it dispatched on
+        assert (action.dest, lone.get_default("command")) == ("command", name)
 
     def test_import_leaves_thread_pool_unloaded(self):
-        # the pool is imported only when census runs with --jobs above 1, json
-        # and fractions on first use, and no value type uses dataclasses
+        # census runs no thread pool, json and fractions are imported on
+        # first use, and no value type uses dataclasses
         # (whose import pulls in inspect) or typing; -S keeps `site` from
         # preloading modules, so the probe puts the package's directory on
         # sys.path itself, and modules loaded before k3mukai are not counted
@@ -597,6 +605,90 @@ def test_fuzzed_argv_exits_cleanly(argv):
     if "--json" in argv:
         for line in out.getvalue().splitlines():
             json.loads(line)
+
+
+def run_main(argv):
+    """(exit or SystemExit code, stdout, stderr) of `main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def full_parser_only():
+    """Send every call of `main` to the full parser, as if no lone parser existed."""
+    original = k3mukai.cli.build_parser
+
+    def full_only(command=None):
+        if command is not None:
+            raise k3mukai.cli._LoneParseError
+        return original()
+
+    k3mukai.cli.build_parser = full_only
+    try:
+        yield
+    finally:
+        k3mukai.cli.build_parser = original
+
+
+def assert_lone_path_matches_full(argv):
+    lone = run_main(argv)
+    with full_parser_only():
+        assert run_main(argv) == lone
+
+
+# spellings the fuzz does not draw: abbreviations, "--", repeats, help mid-call
+PARSER_EDGE_ARGV = [
+    ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c", "8"],
+    ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "8", "--js"],
+    ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "8", "--json=1"],
+    ["pair", "--", "--v", "1,0,1"],
+    ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "8", "--", "x"],
+    ["square", "--v", "1,0,1", "--v", "2,0,1", "--c2", "8"],
+    ["square", "--v", "1,0,1", "--c2", "8", "-h"],
+    ["square", "--v", "1,0,1", "--c2", "8", "--he"],
+    ["census", "--g-max", "3", "--n-max", "3", "--jobs"],
+    ["equiv", "--g", "2", "--n", "2", "--d", "2", "--proper", "--proper"],
+    ["verify-paper", "--g", "2", "--n"],
+    ["verify-paper", "verify-paper"],
+    ["dual", "-g", "2"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *TRANSCRIPTS.values(),
+        *(argv for argv, _ in PARSER_CASES.values()),
+        *PARSER_EDGE_ARGV,
+    ],
+)
+def test_lone_path_matches_full_parser(argv):
+    assert_lone_path_matches_full(argv)
+
+
+@pytest.mark.parametrize("argv", TRANSCRIPTS.values())
+def test_well_formed_call_builds_only_its_subcommand_parser(capsys, monkeypatch, argv):
+    built = []
+    original = k3mukai.cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return original(command)
+
+    monkeypatch.setattr(k3mukai.cli, "build_parser", recording)
+    assert main(list(argv)) == 0
+    assert built == [argv[0]]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(fuzz_argv())
+def test_fuzzed_lone_path_matches_full_parser(argv):
+    assert_lone_path_matches_full(argv)
 
 
 def test_fuzz_flags_are_the_declared_flags():

@@ -10,6 +10,9 @@ to the terminal width, so those cases run at COLUMNS=80.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +130,20 @@ def test_parser_output_matches(capsys, monkeypatch, name):
     )
     assert exc.value.code == expected_code
     assert (shown, silent) == (expected, "")
+
+
+def test_module_entry_point():
+    # `python -m k3mukai` reads sys.argv through main(None)
+    env = {**os.environ, "COLUMNS": "80"}
+    command = [sys.executable, "-m", "k3mukai"]
+    pair = subprocess.run(
+        command + TRANSCRIPTS["pair.txt"], capture_output=True, text=True, env=env
+    )
+    assert (pair.returncode, pair.stdout, pair.stderr) == (
+        0, (GOLDEN / "pair.txt").read_text(), ""
+    )
+    argv, code = PARSER_CASES["bad_integer"]
+    bad = subprocess.run(command + argv, capture_output=True, text=True, env=env)
+    assert (bad.returncode, bad.stdout, bad.stderr) == (
+        code, "", (GOLDEN / "parser" / "bad_integer.txt").read_text()
+    )

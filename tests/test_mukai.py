@@ -192,6 +192,50 @@ class TestPolarization:
         assert not Polarization((0,)).is_positive(G8)
 
 
+class Integer:
+    """An integer type other than int: it defines __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class TestIntegerEntries:
+    """Constructors take any integer and reject a float instead of truncating it."""
+
+    @pytest.mark.parametrize(
+        "r, c, s",
+        [(1.0, (0,), 0), (1, (2.7,), 0), (1, (0, Fraction(1, 2)), 0), (1, (0,), -1.5)],
+        ids=["r", "c", "c-rank-two", "s"],
+    )
+    def test_mukai_vector_rejects_non_integers(self, r, c, s):
+        with pytest.raises(TypeError):
+            MukaiVector(r, c, s)
+
+    def test_nsgram_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            NSGram(((8.9,),))
+        with pytest.raises(TypeError):
+            NSGram(((2, 0.5), (0.5, 2)))
+        # the cache must not hand back the Gram built for the equal int 8
+        NSGram.rank_one(8)
+        with pytest.raises(TypeError):
+            NSGram.rank_one(8.0)
+
+    def test_polarization_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            Polarization((1.5,))
+
+    def test_integer_types_become_int(self):
+        v = MukaiVector(Integer(7), (True, Integer(-3)), Integer(2))
+        assert v.components() == (7, 1, -3, 2)
+        assert all(type(x) is int for x in v.components())
+        assert NSGram(((Integer(8),),)) == G8
+        assert Polarization((Integer(7), False)).h == (7, 0)
+
+
 # ---------------------------------------------------------------------------
 # algebraic properties
 
