@@ -4,11 +4,13 @@ Subcommands cover single computations (pair, square, isotropic, dual,
 criterion, equiv), the full verification ledger (verify-paper), and the
 (g, n) census.  `_SUBCOMMANDS` declares each one once, with its `--help`
 line and its flags; `main` runs its handler `cmd_<name>`, which returns
-the records.  Output is a human-readable aligned table by default; --json
-switches to newline-delimited JSON records of the shape
-{"command": str, "inputs": object, "outputs": object, "pass": bool?}
-with exact integers throughout; a library value (a vector, a form, a class)
-encodes as the object of its fields.
+the records.  A record is the dict
+{"command": str, "inputs": dict, "outputs": dict, "pass": bool?}
+whose values may still be library values; only ledger records carry "pass".
+Output is a human-readable aligned table by default; --json switches to
+newline-delimited JSON, one record per line, with exact integers
+throughout; a library value (a vector, a form, a class) encodes as the
+object of its fields.
 
 Exit codes: 0 success, 1 when a record fails ("pass" false), 2 usage error.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from functools import cache
 from math import isqrt
 
 from .bb import BBLattice, find_isotropic, fujiki_degree
@@ -49,7 +50,7 @@ from .mukai import (
 from .quadforms import QuadForm2, equivalent, gen_picard_determinant, picard_scheme_form
 from .value import Value
 
-__all__ = ["ReportRecord", "ledger_checks", "census_records", "main"]
+__all__ = ["ledger_checks", "census_records", "main"]
 
 
 # Widest `dual` span k_max - k_min; the family has (span + 1)(2 span + 1) members.
@@ -77,12 +78,6 @@ def _encode(value):
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
-@cache
-def _json_encoder():
-    import json  # imported on first use: table output never needs it
-    return json.JSONEncoder(separators=(",", ":"), default=_encode)
-
-
 def _format_value(value) -> str:
     kind = type(value)
     if kind is int or kind is str:  # exact types: a bool prints as true/false
@@ -94,45 +89,21 @@ def _format_value(value) -> str:
     return str(value)
 
 
-class ReportRecord(Value):
-    """One reported computation; serializes losslessly to one JSON line.
-    Unlike the library's values a record is mutable, and so unhashable."""
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, command: str, inputs: dict, outputs: dict,
-                 passed: bool | None = None):
-        self.command = command
-        self.inputs = inputs
-        self.outputs = outputs
-        self.passed = passed
-
-    def to_json(self) -> str:
-        obj = {"command": self.command, "inputs": self.inputs, "outputs": self.outputs}
-        if self.passed is not None:
-            obj["pass"] = self.passed
-        return _json_encoder().encode(obj)
-
-    @classmethod
-    def from_json(cls, line: str) -> "ReportRecord":
-        import json
-        obj = json.loads(line)
-        return cls(obj["command"], obj["inputs"], obj["outputs"], obj.get("pass"))
-
-
 # ---------------------------------------------------------------------------
 # verification ledger
 
 
-def _point_checks(g: int, n: int) -> list[ReportRecord]:
+def _point_checks(g: int, n: int) -> list[dict]:
     """Every ledger check at one (g, n) grid point."""
     records = []
 
     def add(check: str, outputs: dict, passed: bool, **inputs):
-        rec_inputs = {"check": check, "g": g, "n": n, **inputs}
-        records.append(ReportRecord("verify-paper", rec_inputs, outputs, passed))
+        records.append({
+            "command": "verify-paper",
+            "inputs": {"check": check, "g": g, "n": n, **inputs},
+            "outputs": outputs,
+            "pass": passed,
+        })
 
     def add_eq(check: str, computed, claimed, extra: dict | None = None, **inputs):
         outputs = {"computed": computed, "claimed": claimed}
@@ -262,7 +233,7 @@ def _point_checks(g: int, n: int) -> list[ReportRecord]:
     return records
 
 
-def ledger_checks(g_values, n_values) -> list[ReportRecord]:
+def ledger_checks(g_values, n_values) -> list[dict]:
     """The full verification ledger over a (g, n) grid."""
     records = []
     for g in g_values:
@@ -275,7 +246,7 @@ def ledger_checks(g_values, n_values) -> list[ReportRecord]:
 # census
 
 
-def census_records(g_max: int, n_max: int, jobs: int = 1) -> list[ReportRecord]:
+def census_records(g_max: int, n_max: int, jobs: int = 1) -> list[dict]:
     """One record per grid point, ordered by (g, n).
 
     `jobs` has no effect: the census is CPU-bound Python, which threads only
@@ -293,7 +264,9 @@ def census_records(g_max: int, n_max: int, jobs: int = 1) -> list[ReportRecord]:
                 "fine": report.fine,
                 "base_dim": report.base_dim,
             }
-            records.append(ReportRecord("census", {"g": g, "n": n}, outputs))
+            records.append(
+                {"command": "census", "inputs": {"g": g, "n": n}, "outputs": outputs}
+            )
     return records
 
 
@@ -304,23 +277,20 @@ def census_records(g_max: int, n_max: int, jobs: int = 1) -> list[ReportRecord]:
 def _render_default(records) -> str:
     lines = []
     for rec in records:
-        lines.append(rec.command + "\n")
-        items = list(rec.inputs.items()) + list(rec.outputs.items())
-        if rec.passed is not None:
-            items.append(("pass", rec.passed))
+        lines.append(rec["command"] + "\n")
+        # only ledger records carry "pass", and they render in _render_verify
+        items = [*rec["inputs"].items(), *rec["outputs"].items()]
         width = max(len(key) for key, _ in items)
         lines.extend(f"  {k:<{width}} = {_format_value(v)}\n" for k, v in items)
     return "".join(lines)
 
 
-_CENSUS_COLUMNS = ("g", "n", "c2", "w", "d_square", "gerbe_order", "fine", "base_dim")
-
-
 def _render_census(records) -> str:
     # a census record's inputs, then its outputs, are the columns in order
-    rows = [_CENSUS_COLUMNS]
+    rows = [[*records[0]["inputs"], *records[0]["outputs"]]]
     for rec in records:
-        rows.append([_format_value(v) for v in {**rec.inputs, **rec.outputs}.values()])
+        cells = {**rec["inputs"], **rec["outputs"]}.values()
+        rows.append([_format_value(v) for v in cells])
     widths = [max(map(len, column)) for column in zip(*rows)]
     return "".join(
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
@@ -331,17 +301,17 @@ def _render_census(records) -> str:
 def _render_verify(records) -> str:
     lines = []
     for rec in records:
-        status = "ok" if rec.passed else "FAIL"
+        status = "ok" if rec["pass"] else "FAIL"
         context = " ".join(
             f"{key}={_format_value(value)}"
-            for key, value in rec.inputs.items()
+            for key, value in rec["inputs"].items()
             if key != "check"
         )
         outputs = " ".join(
-            f"{key}={_format_value(value)}" for key, value in rec.outputs.items()
+            f"{key}={_format_value(value)}" for key, value in rec["outputs"].items()
         )
-        lines.append(f"{status:<5} {rec.inputs['check']:<26} {context:<18} {outputs}\n")
-    passed = sum(1 for rec in records if rec.passed)
+        lines.append(f"{status:<5} {rec['inputs']['check']:<26} {context:<18} {outputs}\n")
+    passed = sum(1 for rec in records if rec["pass"])
     lines.append(f"verify-paper: {passed}/{len(records)} checks passed\n")
     return "".join(lines)
 
@@ -375,53 +345,52 @@ def _require_at_least(value: int, minimum: int, flag: str) -> None:
         raise UsageError(f"{flag} must be at least {minimum}")
 
 
-def cmd_pair(args) -> list[ReportRecord]:
+def cmd_pair(args) -> list[dict]:
     v, u = _parse_vector(args.v), _parse_vector(args.u)
     gram = NSGram.rank_one(args.c2)
-    record = ReportRecord(
-        "pair",
-        {"v": v, "u": u, "c2": args.c2},
-        {"pairing": pairing(v, u, gram)},
-    )
-    return [record]
+    return [{
+        "command": "pair",
+        "inputs": {"v": v, "u": u, "c2": args.c2},
+        "outputs": {"pairing": pairing(v, u, gram)},
+    }]
 
 
-def cmd_square(args) -> list[ReportRecord]:
+def cmd_square(args) -> list[dict]:
     v = _parse_vector(args.v)
     gram = NSGram.rank_one(args.c2)
-    record = ReportRecord(
-        "square", {"v": v, "c2": args.c2}, {"square": square(v, gram)}
-    )
-    return [record]
+    return [{
+        "command": "square",
+        "inputs": {"v": v, "c2": args.c2},
+        "outputs": {"square": square(v, gram)},
+    }]
 
 
-def cmd_isotropic(args) -> list[ReportRecord]:
+def cmd_isotropic(args) -> list[dict]:
     _require_at_least(args.g, 2, "--g")
     _require_at_least(args.bound, 1, "--bound")
     lat = BBLattice(args.c2, args.g)
     result = find_isotropic(lat, args.bound)
-    record = ReportRecord(
-        "isotropic",
-        {"c2": args.c2, "g": args.g, "bound": args.bound},
-        {
+    return [{
+        "command": "isotropic",
+        "inputs": {"c2": args.c2, "g": args.g, "bound": args.bound},
+        "outputs": {
             "classes": list(result.classes),
             "exists_nontrivial": result.exists,
         },
-    )
-    return [record]
+    }]
 
 
-def cmd_dual(args) -> list[ReportRecord]:
+def cmd_dual(args) -> list[dict]:
     _require_at_least(args.g, 2, "--g")
     _require_at_least(args.n, 2, "--n")
     if args.k_max - args.k_min > DUAL_K_SPAN_MAX:
         raise UsageError(f"--k-max - --k-min must be at most {DUAL_K_SPAN_MAX}")
     report = build_dual(args.g, args.n)
     family = solve_transform_constraints(args.g, args.n, (args.k_min, args.k_max))
-    record = ReportRecord(
-        "dual",
-        {"g": args.g, "n": args.n, "k_min": args.k_min, "k_max": args.k_max},
-        {
+    return [{
+        "command": "dual",
+        "inputs": {"g": args.g, "n": args.n, "k_min": args.k_min, "k_max": args.k_max},
+        "outputs": {
             # every field of the report, in its order, with c2 after w
             "w": report.w,
             "c2": 2 * (args.g - 1) * args.n * args.n,
@@ -429,11 +398,10 @@ def cmd_dual(args) -> list[ReportRecord]:
             "constraints": list(family.equations),
             "solutions": list(family.solutions),
         },
-    )
-    return [record]
+    }]
 
 
-def cmd_criterion(args) -> list[ReportRecord]:
+def cmd_criterion(args) -> list[dict]:
     _require_at_least(args.bound, 1, "--bound")
     if args.v is not None:
         if args.c2 is None:
@@ -452,15 +420,14 @@ def cmd_criterion(args) -> list[ReportRecord]:
     else:
         raise UsageError("criterion needs --v with --c2, or --g with --n/--c2")
     report = general_fibration_criterion(v, NSGram.rank_one(c2), args.bound)
-    record = ReportRecord(
-        "criterion",
-        {"v": v, "c2": c2, "bound": args.bound},
-        {"genus": report.genus, "hits": list(report.hits)},
-    )
-    return [record]
+    return [{
+        "command": "criterion",
+        "inputs": {"v": v, "c2": c2, "bound": args.bound},
+        "outputs": {"genus": report.genus, "hits": list(report.hits)},
+    }]
 
 
-def cmd_equiv(args) -> list[ReportRecord]:
+def cmd_equiv(args) -> list[dict]:
     _require_at_least(args.bound, 1, "--bound")
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
@@ -488,10 +455,10 @@ def cmd_equiv(args) -> list[ReportRecord]:
         outputs["values"] = result.values
     if result.witness is not None:
         outputs["witness"] = result.witness
-    return [ReportRecord("equiv", inputs, outputs)]
+    return [{"command": "equiv", "inputs": inputs, "outputs": outputs}]
 
 
-def cmd_verify_paper(args) -> list[ReportRecord]:
+def cmd_verify_paper(args) -> list[dict]:
     if args.g is not None:
         _require_at_least(args.g, 2, "--g")
         if args.g > CENSUS_GRID_MAX:
@@ -503,7 +470,7 @@ def cmd_verify_paper(args) -> list[ReportRecord]:
     return ledger_checks(g_values, n_values)
 
 
-def cmd_census(args) -> list[ReportRecord]:
+def cmd_census(args) -> list[dict]:
     _require_at_least(args.g_max, 2, "--g-max")
     _require_at_least(args.n_max, 2, "--n-max")
     _require_at_least(args.jobs, 1, "--jobs")
@@ -644,14 +611,16 @@ def main(argv=None) -> int:
         records = globals()["cmd_" + args.command.replace("-", "_")](args)
         # render all output first: an int past str()'s digit limit raises ValueError
         if args.json:
-            text = "".join(record.to_json() + "\n" for record in records)
+            import json  # imported on first use: table output never needs it
+            encode = json.JSONEncoder(separators=(",", ":"), default=_encode).encode
+            text = "".join(encode(record) + "\n" for record in records)
         else:
             text = _RENDERERS.get(args.command, _render_default)(records)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
-    return 1 if any(record.passed is False for record in records) else 0
+    return 1 if any(record.get("pass") is False for record in records) else 0
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ __all__ = [
 
 
 # Entries kept per NSGram constructor cache.  A full 2 <= g, n <= 10 ledger
-# sweep asks for 69 distinct rank-one and 252 distinct rank-two Gram
+# sweep asks for 69 distinct rank-one and 171 distinct rank-two Gram
 # matrices, so a sweep repeated in one process never evicts; the bound only
 # stops a long-lived process from growing with every distinct input.  The
 # caches are typed, so that 8.0 misses the entry of 8 and is rejected.

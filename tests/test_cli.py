@@ -20,7 +20,6 @@ from k3mukai.cli import (
     DUAL_K_SPAN_MAX,
     EQUIV_DET_MAX,
     _SUBCOMMANDS,
-    ReportRecord,
     build_parser,
     ledger_checks,
     main,
@@ -281,8 +280,9 @@ class TestVerifyPaper:
 
     def test_json_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "verify-paper", "--g", "2", "--n", "3", "--json")
+        encode = json.JSONEncoder(separators=(",", ":")).encode
         for line in out.splitlines():
-            assert ReportRecord.from_json(line).to_json() == line
+            assert encode(json.loads(line)) == line
 
     def test_g_at_cap(self, capsys):
         assert CENSUS_GRID_MAX == 100
@@ -317,10 +317,11 @@ class TestCensus:
 
     def test_json_round_trip_without_pass_field(self, capsys):
         _, out, _ = run_cli(capsys, "census", "--g-max", "3", "--n-max", "3", "--json")
+        encode = json.JSONEncoder(separators=(",", ":")).encode
         for line in out.splitlines():
-            record = ReportRecord.from_json(line)
-            assert record.passed is None
-            assert record.to_json() == line
+            record = json.loads(line)
+            assert "pass" not in record
+            assert encode(record) == line
 
     def test_row_order_deterministic(self, capsys):
         _, out, _ = run_cli(capsys, "census", "--g-max", "4", "--n-max", "3", "--json")
@@ -525,7 +526,7 @@ class TestParser:
 
 def test_ledger_checks_cover_every_advertised_check():
     records = ledger_checks([2], [2])
-    names = {record.inputs["check"] for record in records}
+    names = {record["inputs"]["check"] for record in records}
     assert names == {
         "dual_surface",
         "w_isotropic",

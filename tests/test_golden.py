@@ -88,6 +88,19 @@ PARSER_CASES = {
     "json_before_command": (["--json"] + _PAIR + ["--c2", "2"], 2),
 }
 
+# name -> argv that parses but is refused: `main` returns 2 and prints one
+# `error:` line to stderr, from a UsageError or from a library ValueError
+ERROR_CASES = {
+    "dual_g_below_min": ["dual", "--g", "1", "--n", "2"],
+    "dual_empty_k_range": ["dual", "--g", "2", "--n", "2", "--k-min", "3", "--k-max", "1"],
+    "isotropic_odd_c2": ["isotropic", "--c2", "7", "--g", "2"],
+    "criterion_nonpositive_square": ["criterion", "--v", "1,0,1", "--c2", "8"],
+    "criterion_short_vector": ["criterion", "--v=1,2", "--c2", "8"],
+    "pair_bad_vector": ["pair", "--v", "1,x,2", "--u", "1,0,1", "--c2", "8"],
+    "equiv_missing_flags": ["equiv", "--g", "2"],
+    "census_g_max_above_cap": ["census", "--g-max", "101"],
+}
+
 # full 2 <= g, n <= 10 ledger: 7,220 records, 1,144,271 bytes as NDJSON
 FULL_GRID_JSON_SHA256 = "af5bc0f8b3589253f909eccdb8bf95cdf8f91f9aa74368362a08725c8202f9b5"
 FULL_GRID_TABLE_SHA256 = "34b379d6622056284c7badc3641da4953f2236277274b23e8f318f7e36d5af32"
@@ -130,6 +143,31 @@ def test_parser_output_matches(capsys, monkeypatch, name):
     )
     assert exc.value.code == expected_code
     assert (shown, silent) == (expected, "")
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_error_output_matches(capsys, name):
+    code = main(list(ERROR_CASES[name]))
+    captured = capsys.readouterr()
+    expected = (GOLDEN / "errors" / f"{name}.txt").read_text()
+    assert (code, captured.out, captured.err) == (2, "", expected)
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_output_independent_of_hash_seed(seed):
+    # each run is a fresh interpreter, so set and dict order is re-seeded
+    env = {**os.environ, "PYTHONHASHSEED": seed}
+    command = [sys.executable, "-m", "k3mukai"]
+
+    def run(*argv) -> bytes:
+        done = subprocess.run(command + list(argv), capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (0, b"")
+        return done.stdout
+
+    ledger = run("verify-paper", "--json")
+    assert hashlib.sha256(ledger).hexdigest() == FULL_GRID_JSON_SHA256
+    census = run(*TRANSCRIPTS["census_10_10.ndjson"])
+    assert census == (GOLDEN / "census_10_10.ndjson").read_bytes()
 
 
 def test_module_entry_point():

@@ -21,7 +21,6 @@ from k3mukai import (
     QuotientClass,
     TransformConstraintFamily,
 )
-from k3mukai.cli import ReportRecord
 from k3mukai.value import Value
 
 W = MukaiVector(2, (1,), 2)
@@ -57,7 +56,7 @@ def parameters(cls) -> list[str]:
 
 
 def test_every_value_type_is_sampled():
-    assert set(Value.__subclasses__()) == {*SAMPLES, ReportRecord}
+    assert set(Value.__subclasses__()) == set(SAMPLES)
 
 
 @CLASSES
@@ -118,18 +117,3 @@ def test_mukai_vector_post_init_runs_once_per_construction(monkeypatch):
     assert len(calls) == 3
     assert v.c == (3,)
 
-
-def test_report_record_is_mutable_and_unhashable():
-    record = ReportRecord("pair", {"c2": 8}, {"pairing": 0})
-    assert record == ReportRecord("pair", {"c2": 8}, {"pairing": 0})
-    assert list(vars(record)) == parameters(ReportRecord)
-    assert repr(record) == (
-        "ReportRecord(command='pair', inputs={'c2': 8}, outputs={'pairing': 0}, "
-        "passed=None)"
-    )
-    with pytest.raises(TypeError):
-        hash(record)
-    record.passed = True
-    assert record.passed is True
-    del record.passed
-    assert "passed" not in vars(record)
