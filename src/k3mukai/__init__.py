@@ -48,9 +48,7 @@ from .mukai import (
     euler_characteristic,
     fineness_gcd,
     is_primitive,
-    moduli_dimension,
     pairing,
-    slope,
     square,
 )
 from .quadforms import (

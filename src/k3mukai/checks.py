@@ -1,11 +1,13 @@
 """Recomputable numeric checks behind the stability and section-counting
 arguments.
 
-Each check returns the pair (computed, claimed): a raw Mukai-pairing
-computation on explicitly constructed vectors, and the paper's closed-form
-expression for the same quantity.  Nothing here decides pass or fail; the
-verification ledger (`cli.ledger_checks`) compares the two routes, so
-nothing merely restates a formula.
+Most checks return (computed, claimed): a raw Mukai-pairing computation on
+explicitly constructed vectors, and the paper's closed form for it.  Three
+return closed-form data alone: `kernel_square_bound` an int,
+`torsion_degree` (degree, allowed) and `brill_noether_data` (rank, degree).
+Four ledger kinds compare two closed forms: `brill_noether_unit`,
+`fujiki_constant_degree`, `picard_determinants` and `torsion_degree`.
+Nothing here decides pass or fail; `cli.ledger_checks` does.
 """
 
 from __future__ import annotations

@@ -93,48 +93,35 @@ def _format_value(value) -> str:
 # verification ledger
 
 
-def _point_checks(g: int, n: int) -> list[dict]:
-    """Every ledger check at one (g, n) grid point."""
-    records = []
+def _equal(computed, claimed, **extra) -> tuple[dict, tuple]:
+    """The outputs and the one claim of a record that checks computed == claimed."""
+    return {"computed": computed, "claimed": claimed, **extra}, ((computed, claimed),)
 
-    def add(check: str, outputs: dict, passed: bool, **inputs):
-        records.append({
-            "command": "verify-paper",
-            "inputs": {"check": check, "g": g, "n": n, **inputs},
-            "outputs": outputs,
-            "pass": passed,
-        })
 
-    def add_eq(check: str, computed, claimed, extra: dict | None = None, **inputs):
-        outputs = {"computed": computed, "claimed": claimed}
-        if extra:
-            outputs.update(extra)
-        add(check, outputs, computed == claimed, **inputs)
-
+def _point_checks(g: int, n: int):
+    """Every ledger check at one (g, n) grid point, as (check, inputs,
+    outputs, claims); `claims` holds (computed, claimed) pairs."""
     c2 = 2 * (g - 1) * n * n
     gram = NSGram.rank_one(c2)
     report = build_dual(g, n)
     w = report.w
 
-    add(
-        "dual_surface",
-        {
-            "w": w,
-            "c2": c2,
-            "d_square": report.d_square,
-            "gerbe_order": report.gerbe_order,
-            "base_dim": report.base_dim,
-            "fine": report.fine,
-        },
-        # each other field has a record of its own below
-        not report.fine,
-    )
-    add_eq("w_isotropic", square(w, gram), 0)
-    add_eq("w_primitive", is_primitive(w), True)
-    add_eq("gerbe_order", report.gerbe_order, n)
-    add_eq("dual_curve_square", report.d_square, 2 * g - 2)
-    add_eq("euler_characteristic", euler_characteristic(w, gram), g * n)
-    add_eq("base_dimension", report.base_dim, g)
+    outputs = {
+        "w": w,
+        "c2": c2,
+        "d_square": report.d_square,
+        "gerbe_order": report.gerbe_order,
+        "base_dim": report.base_dim,
+        "fine": report.fine,
+    }
+    # each other field has a record of its own below
+    yield "dual_surface", {}, outputs, ((report.fine, False),)
+    yield "w_isotropic", {}, *_equal(square(w, gram), 0)
+    yield "w_primitive", {}, *_equal(is_primitive(w), True)
+    yield "gerbe_order", {}, *_equal(report.gerbe_order, n)
+    yield "dual_curve_square", {}, *_equal(report.d_square, 2 * g - 2)
+    yield "euler_characteristic", {}, *_equal(euler_characteristic(w, gram), g * n)
+    yield "base_dimension", {}, *_equal(report.base_dim, g)
 
     # Fujiki degree trichotomy on Pic(Hilb^g S) = diag(c2, -2(g-1)), which the
     # Picard-form records compare too; q_mixed polarizes ample (1, 0), isotropic (1, n)
@@ -142,104 +129,93 @@ def _point_checks(g: int, n: int) -> list[dict]:
     q_ample = hilb.value(1, 0)
     q_iso = hilb.value(1, n)
     q_mixed = (hilb.value(2, n) - q_ample - q_iso) // 2
-    add_eq(
-        "fujiki_isotropic_degree",
-        fujiki_degree(q_ample, q_mixed, q_iso, g),
-        g,
-        extra={"q_isotropic": q_iso},
+    yield "fujiki_isotropic_degree", {}, *_equal(
+        fujiki_degree(q_ample, q_mixed, q_iso, g), g, q_isotropic=q_iso
     )
-    add_eq("fujiki_ample_degree", fujiki_degree(q_ample, q_mixed, q_ample, g), 2 * g)
-    add_eq("fujiki_constant_degree", fujiki_degree(q_ample, 0, 0, g), 0)
+    yield "fujiki_ample_degree", {}, *_equal(
+        fujiki_degree(q_ample, q_mixed, q_ample, g), 2 * g
+    )
+    yield "fujiki_constant_degree", {}, *_equal(fujiki_degree(q_ample, 0, 0, g), 0)
 
     for length in range(0, 4):
         computed, claimed = double_dual_square(n, g, length)
         violation = computed < -2
-        add(
-            "double_dual_square",
-            {"computed": computed, "claimed": claimed, "bogomolov_violation": violation},
-            computed == claimed and violation == (length > 0),
-            length=length,
+        outputs, claims = _equal(computed, claimed, bogomolov_violation=violation)
+        yield "double_dual_square", {"length": length}, outputs, (
+            *claims, (violation, length > 0)
         )
 
-    add_eq("extension_square", *extension_square(n, g))
+    yield "extension_square", {}, *_equal(*extension_square(n, g))
 
     for length in range(0, 3):
         # independent route: scan N upward; empty means no N >= 1 is allowed
         expected_bound = max(
-            (
-                big_n
-                for big_n in range(1, 3 * g + 2)
-                if -2 * big_n - 2 * big_n * n * length + 2 * (g - 1) >= -2
-            ),
+            (big_n for big_n in range(1, 3 * g + 2)
+             if -2 * big_n - 2 * big_n * n * length + 2 * (g - 1) >= -2),
             default=0,
         )
         for big_n in range(1, 2 * g + 1):
-            computed, claimed = kernel_square(big_n, n, g, length)
-            add_eq("kernel_square", computed, claimed, N=big_n, length=length)
-        bound = kernel_square_bound(n, g, length)
-        add_eq("kernel_square_bound", bound, expected_bound, length=length)
+            yield "kernel_square", {"N": big_n, "length": length}, *_equal(
+                *kernel_square(big_n, n, g, length)
+            )
+        yield "kernel_square_bound", {"length": length}, *_equal(
+            kernel_square_bound(n, g, length), expected_bound
+        )
 
     for m in range(1, 13):
         if c2 % m:
             continue
         degree, allowed = torsion_degree(g, n, m)
-        add(
-            "torsion_degree",
-            {"degree": degree, "allowed": allowed},
-            degree * m == c2 and allowed == (m == 1),
-            m=m,
+        yield "torsion_degree", {"m": m}, {"degree": degree, "allowed": allowed}, (
+            (degree * m, c2), (allowed, m == 1)
         )
 
-    add_eq("tensor_degree", *tensor_degree_check(g, n))
+    yield "tensor_degree", {}, *_equal(*tensor_degree_check(g, n))
 
     rank, degree = brill_noether_data(g, n)
-    add_eq(
-        "brill_noether_unit",
-        degree - (g - 1) * rank,
-        1,
-        extra={"rank": rank, "degree": degree},
+    yield "brill_noether_unit", {}, *_equal(
+        degree - (g - 1) * rank, 1, rank=rank, degree=degree
     )
 
     hilb_det = gen_picard_determinant(c2)
     dual_det = gen_picard_determinant(2 * (g - 1))
-    add(
-        "picard_determinants",
-        {"hilb_det": hilb_det, "dual_det": dual_det, "distinct": hilb_det != dual_det},
-        hilb_det == -c2 and dual_det == -(2 * g - 2) and hilb_det != dual_det,
+    distinct = hilb_det != dual_det
+    outputs = {"hilb_det": hilb_det, "dual_det": dual_det, "distinct": distinct}
+    yield "picard_determinants", {}, outputs, (
+        (hilb_det, -c2), (dual_det, -(2 * g - 2)), (distinct, True)
     )
 
     for d in range(0, 4 * g + 1):
         scheme = picard_scheme_form(g, d)
         verdict = equivalent(hilb, scheme.form)
-        add(
-            "picard_form_inequivalence",
-            {
-                "verdict": verdict.verdict,
-                "certificate": verdict.certificate,
-                "determinants": [hilb.determinant(), scheme.form.determinant()],
-            },
-            verdict.verdict == "not_equivalent"
-            and verdict.certificate == "determinant",
-            d=d,
+        outputs = {
+            "verdict": verdict.verdict,
+            "certificate": verdict.certificate,
+            "determinants": [hilb.determinant(), scheme.form.determinant()],
+        }
+        yield "picard_form_inequivalence", {"d": d}, outputs, (
+            (verdict.verdict, "not_equivalent"), (verdict.certificate, "determinant")
         )
 
     k_values, l_values = family_ranges((-3, 3))
-    add(
-        "transform_constraints",
-        {"solutions": len(k_values) * len(l_values)},
-        family_holds(g, n),
+    yield "transform_constraints", {}, {"solutions": len(k_values) * len(l_values)}, (
+        (family_holds(g, n), True),
     )
-
-    return records
 
 
 def ledger_checks(g_values, n_values) -> list[dict]:
-    """The full verification ledger over a (g, n) grid."""
-    records = []
-    for g in g_values:
-        for n in n_values:
-            records.extend(_point_checks(g, n))
-    return records
+    """The ledger over a (g, n) grid; a record passes when all its claims hold."""
+    return [
+        {
+            "command": "verify-paper",
+            "inputs": {"check": check, "g": g, "n": n, **inputs},
+            "outputs": outputs,
+            "pass": all(computed == claimed for computed, claimed in claims),
+        }
+        for g in g_values
+        for n in n_values
+        for check, inputs, outputs, claims in _point_checks(g, n)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ Mukai lattice is Z + NS + Z and the Mukai pairing is
     <(r, c, s), (r', c', s')> = c.G.c' - r*s' - r'*s.
 
 Everything here is exact: components are Python integers of any size (a
-float raises TypeError rather than being truncated), slopes are
-`fractions.Fraction` values in lowest terms, and no floating point appears
-anywhere.  All values are immutable, so every function in this module is
-safe to call from concurrent threads.
+float raises TypeError rather than being truncated), and no floating point
+appears anywhere.  All values are immutable, so every function in this
+module is safe to call from concurrent threads.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ __all__ = [
     "square",
     "dual",
     "euler_characteristic",
-    "moduli_dimension",
     "is_primitive",
-    "slope",
     "fineness_gcd",
 ]
 
@@ -162,10 +159,6 @@ class Polarization(Value):
     def __init__(self, h: tuple[int, ...]):
         object.__setattr__(self, "h", tuple(map(index, h)))
 
-    def is_positive(self, gram: NSGram) -> bool:
-        """An honest polarization has positive self-intersection."""
-        return gram.dot(self.h, self.h) > 0
-
 
 def pairing(v: MukaiVector, u: MukaiVector, gram: NSGram) -> int:
     """Mukai pairing <v, u> = c.G.c' - r*s' - r'*s."""
@@ -188,24 +181,11 @@ def euler_characteristic(v: MukaiVector, gram: NSGram) -> int:
     return -pairing(v, one, gram)
 
 
-def moduli_dimension(v: MukaiVector, gram: NSGram) -> int:
-    """Dimension <v, v> + 2 of the moduli space of stable sheaves of class v."""
-    return square(v, gram) + 2
-
-
 def is_primitive(v: MukaiVector) -> bool:
     """True when the components of v have no common factor."""
     if v.is_zero():
         raise ValueError("primitivity is undefined for the zero vector")
     return gcd(*v.components()) == 1
-
-
-def slope(v: MukaiVector, h: Polarization, gram: NSGram) -> Fraction:
-    """Slope deg(v)/rank(v) with respect to h, as an exact rational."""
-    from fractions import Fraction  # imported on first use: the CLI never needs it
-    if v.r == 0:
-        raise ValueError("torsion class: slope is undefined for rank zero")
-    return Fraction(gram.dot(v.c, h.h), v.r)
 
 
 def fineness_gcd(v: MukaiVector, h: Polarization, gram: NSGram) -> int:

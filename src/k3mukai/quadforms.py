@@ -39,15 +39,8 @@ class QuadForm2(Value):
     def determinant(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m12
 
-    def content(self) -> int:
-        """gcd of the Gram entries (zero only for the zero form)."""
-        return gcd(self.m11, self.m12, self.m22)
-
     def value(self, x: int, y: int) -> int:
         return self.m11 * x * x + 2 * self.m12 * x * y + self.m22 * y * y
-
-    def gram(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.m11, self.m12), (self.m12, self.m22))
 
     def transform(self, u: tuple[tuple[int, int], tuple[int, int]]) -> "QuadForm2":
         """Change of basis U^T M U for an integer 2x2 matrix U."""

@@ -19,6 +19,7 @@ from k3mukai.bb import (
     vperp_gram,
 )
 from k3mukai.mukai import MukaiVector, NSGram, pairing
+from k3mukai.quadforms import QuadForm2
 
 
 def brute_force_isotropic(c2, g, a_box, b_box):
@@ -67,7 +68,7 @@ class TestBBLattice:
         assert BBLattice(8, 2).form.determinant() == -16
 
     def test_gram(self):
-        assert BBLattice(6, 4).form.gram() == ((6, 0), (0, -6))
+        assert BBLattice(6, 4).form == QuadForm2(6, 0, -6)
 
     def test_rejects_odd_c2(self):
         with pytest.raises(ValueError):
@@ -199,28 +200,28 @@ class TestVperpGram:
     def test_hilbert_vector_gives_bb_gram(self):
         # the complement of (1, 0, 1-g) is the divisor lattice of Hilb^g
         gram = NSGram.rank_one(8)
-        assert vperp_gram(MukaiVector(1, (0,), -1), gram).gram() == ((8, 0), (0, -2))
+        assert vperp_gram(MukaiVector(1, (0,), -1), gram) == QuadForm2(8, 0, -2)
 
     @pytest.mark.parametrize("g", range(2, 8))
     @pytest.mark.parametrize("n", range(2, 8))
     def test_family_matches_bb_lattice(self, g, n):
         c2 = 2 * (g - 1) * n * n
         gram = NSGram.rank_one(c2)
-        result = vperp_gram(MukaiVector(1, (0,), 1 - g), gram).gram()
-        assert result == ((c2, 0), (0, -2 * (g - 1)))
-        det = result[0][0] * result[1][1] - result[0][1] * result[1][0]
+        result = vperp_gram(MukaiVector(1, (0,), 1 - g), gram)
+        assert result == QuadForm2(c2, 0, -2 * (g - 1))
+        det = result.m11 * result.m22 - result.m12 * result.m12
         assert det == BBLattice(c2, g).form.determinant()
 
     def test_point_class(self):
         # frozen from the direct kernel computation: {r = 0} with basis (C, point)
         gram = NSGram.rank_one(8)
-        assert vperp_gram(MukaiVector(0, (0,), 1), gram).gram() == ((8, 0), (0, 0))
+        assert vperp_gram(MukaiVector(0, (0,), 1), gram) == QuadForm2(8, 0, 0)
 
     def test_point_class_gram_up_to_basis_swap(self):
         gram = NSGram.rank_one(8)
-        (a, b), (c, d) = vperp_gram(MukaiVector(0, (0,), 1), gram).gram()
+        form = vperp_gram(MukaiVector(0, (0,), 1), gram)
         # swapping the basis gives the other diagonal presentation
-        assert ((d, c), (b, a)) == ((0, 0), (0, 8))
+        assert QuadForm2(form.m22, form.m12, form.m11) == QuadForm2(0, 0, 8)
 
     def test_rejects_imprimitive(self):
         with pytest.raises(ValueError):
@@ -250,15 +251,12 @@ class TestVperpGram:
                         assert alpha.denominator == 1 and beta.denominator == 1
 
     def test_gl2_class_stable_under_basis_change(self):
-        gram = vperp_gram(MukaiVector(1, (0,), -1), NSGram.rank_one(8)).gram()
-        (a, b), (_, d) = gram
+        form = vperp_gram(MukaiVector(1, (0,), -1), NSGram.rank_one(8))
+        a, b, d = form.m11, form.m12, form.m22
         # add the second basis vector to the first: congruent, same determinant
-        changed = (
-            (a + 2 * b + d, b + d),
-            (b + d, d),
-        )
-        det = lambda m: m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        assert det(changed) == det(gram)
+        changed = QuadForm2(a + 2 * b + d, b + d, d)
+        det = lambda f: f.m11 * f.m22 - f.m12 * f.m12
+        assert det(changed) == det(form)
 
 
 @given(

@@ -24,6 +24,8 @@ from k3mukai.cli import (
     ledger_checks,
     main,
 )
+from k3mukai.dual_surface import DualSurfaceReport
+from k3mukai.quadforms import EquivalenceResult
 from test_golden import PARSER_CASES, TRANSCRIPTS
 
 
@@ -299,6 +301,57 @@ class TestVerifyPaper:
         assert "at most 100" in err
 
 
+# Each wrapper breaks exactly one claim of a record kind that makes more than
+# one (computed, claimed) claim; it replaces a name that k3mukai.cli looks up.
+def fine_dual(build_dual):
+    return lambda g, n: DualSurfaceReport(**{**vars(build_dual(g, n)), "fine": True})
+
+
+def violation_at_length_zero(double_dual_square):
+    # the square equals its claim, so only the Bogomolov-violation claim breaks
+    def broken(n, g, length):
+        return (-4, -4) if length == 0 else double_dual_square(n, g, length)
+    return broken
+
+
+def m_two_allowed(torsion_degree):
+    def broken(g, n, m):
+        degree, allowed = torsion_degree(g, n, m)
+        return degree, allowed or m == 2
+    return broken
+
+
+def off_by_one(gen_picard_determinant):
+    return lambda c2: gen_picard_determinant(c2) + 1
+
+
+def reduced_form_certificate(equivalent):
+    def broken(*args, **kwargs):
+        result = equivalent(*args, **kwargs)
+        return EquivalenceResult(**{**vars(result), "certificate": "reduced_form"})
+    return broken
+
+
+def family_fails(family_holds):
+    return lambda g, n: False
+
+
+@pytest.mark.parametrize("kind, name, breaks", [
+    ("dual_surface", "build_dual", fine_dual),
+    ("double_dual_square", "double_dual_square", violation_at_length_zero),
+    ("torsion_degree", "torsion_degree", m_two_allowed),
+    ("picard_determinants", "gen_picard_determinant", off_by_one),
+    ("picard_form_inequivalence", "equivalent", reduced_form_certificate),
+    ("transform_constraints", "family_holds", family_fails),
+])
+def test_one_broken_claim_fails_only_its_kind(capsys, monkeypatch, kind, name, breaks):
+    monkeypatch.setattr(k3mukai.cli, name, breaks(getattr(k3mukai.cli, name)))
+    code, out, _ = run_cli(capsys, "verify-paper", "--g", "3", "--n", "2", "--json")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 1
+    assert {r["inputs"]["check"] for r in records if not r["pass"]} == {kind}
+
+
 class TestCensus:
     def test_single_row(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--g-max", "2", "--n-max", "2", "--json")
@@ -457,8 +510,8 @@ class TestParser:
         assert (action.dest, lone.get_default("command")) == ("command", name)
 
     def test_import_leaves_thread_pool_unloaded(self):
-        # census runs no thread pool, json and fractions are imported on
-        # first use, and no value type uses dataclasses
+        # census runs no thread pool, json is imported on first use,
+        # fractions never, and no value type uses dataclasses
         # (whose import pulls in inspect) or typing; -S keeps `site` from
         # preloading modules, so the probe puts the package's directory on
         # sys.path itself, and modules loaded before k3mukai are not counted

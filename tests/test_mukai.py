@@ -16,9 +16,7 @@ from k3mukai.mukai import (
     euler_characteristic,
     fineness_gcd,
     is_primitive,
-    moduli_dimension,
     pairing,
-    slope,
     square,
 )
 
@@ -122,17 +120,6 @@ class TestEulerCharacteristic:
         )
 
 
-class TestModuliDimension:
-    def test_isotropic_gives_surface(self):
-        assert moduli_dimension(vec(2, 1, 2), G8) == 2
-
-    def test_hilbert_scheme(self):
-        assert moduli_dimension(vec(1, 0, -1), G8) == 4
-
-    def test_point_class(self):
-        assert moduli_dimension(vec(0, 0, 1), G8) == 2
-
-
 class TestIsPrimitive:
     @pytest.mark.parametrize("g,n", [(2, 2), (3, 2), (7, 5)])
     def test_w_family(self, g, n):
@@ -147,23 +134,6 @@ class TestIsPrimitive:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             is_primitive(vec(0, 0, 0))
-
-
-class TestSlope:
-    def test_dual_surface_bundle_slope(self):
-        # slope C^2 / n for the rank-n bundles
-        assert slope(vec(2, 1, 2), C, G8) == Fraction(8, 2) == 4
-
-    def test_trivial_ns_part(self):
-        assert slope(vec(1, 0, 9), C, G8) == 0
-
-    def test_torsion_class_rejected(self):
-        with pytest.raises(ValueError):
-            slope(vec(0, 1, 3), C, G8)
-
-    def test_exact_rational(self):
-        value = slope(vec(3, 1, 0), C, G8)
-        assert (value.numerator, value.denominator) == (8, 3)
 
 
 class TestFinenessGcd:
@@ -182,14 +152,6 @@ class TestFinenessGcd:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             fineness_gcd(vec(0, 0, 0), C, G8)
-
-
-class TestPolarization:
-    def test_positive(self):
-        assert Polarization((1,)).is_positive(G8)
-
-    def test_not_positive(self):
-        assert not Polarization((0,)).is_positive(G8)
 
 
 class Integer:

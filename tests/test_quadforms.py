@@ -29,11 +29,6 @@ class TestQuadForm2:
     def test_determinant(self):
         assert QuadForm2(8, 0, -2).determinant() == -16
 
-    def test_content(self):
-        assert QuadForm2(8, 0, -2).content() == 2
-        assert QuadForm2(0, -2, 2).content() == 2
-        assert QuadForm2(3, 1, 5).content() == 1
-
     def test_value(self):
         f = QuadForm2(1, 2, 3)
         assert f.value(1, 1) == 1 + 4 + 3
@@ -213,7 +208,7 @@ def residues(f, modulus):
 # residues represented mod 4 and mod 8.  Forms with equal canonical forms
 # agree on all of them, so they are an oracle for `canonical`.
 CONGRUENCE_INVARIANTS = (
-    QuadForm2.content,
+    lambda f: gcd(f.m11, f.m12, f.m22),
     definiteness,
     lambda f: residues(f, 4),
     lambda f: residues(f, 8),

@@ -55,6 +55,18 @@ def test_main_calls_parser_and_handler_through_module_attributes(monkeypatch):
     assert calls == {"build_parser": 1, "cmd_pair": 1}
 
 
+def test_ledger_calls_checks_through_module_attributes(monkeypatch):
+    # the tracer counts checks.calls by replacing each check function on
+    # k3mukai.cli; a ledger holding the originals, say in a table built at
+    # import, would bypass it, and checks.calls would read 0
+    calls = Counter()
+    count_calls(monkeypatch, calls, "kernel_square")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify-paper", "--g", "3", "--n", "2"])
+    # N = 1 .. 2g at each of the three lengths
+    assert code == 0 and calls == {"kernel_square": 3 * 2 * 3}
+
+
 def test_every_subcommand_has_a_handler():
     for name in cli._SUBCOMMANDS:
         assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
