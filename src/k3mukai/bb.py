@@ -11,6 +11,8 @@ precisely when 2(g-1) C^2 is a perfect square.
 
 from __future__ import annotations
 
+from operator import index
+
 from .hermite import kernel_of_functional
 from .mukai import MukaiVector, NSGram, is_primitive, pairing
 from .quadforms import QuadForm2, isotropic_lines
@@ -32,8 +34,7 @@ class BBClass(Value):
     """Divisor class a*C + b*E in (C, E) coordinates."""
 
     def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        super().__init__(a=a, b=b)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"
@@ -43,12 +44,12 @@ class BBLattice(Value):
     """Rank-two Beauville-Bogomolov lattice diag(c2, -2(g-1))."""
 
     def __init__(self, c2: int, g: int):
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "g", g)
+        c2, g = index(c2), index(g)
         if c2 <= 0 or c2 % 2:
             raise ValueError("c2 must be a positive even integer")
         if g < 2:
             raise ValueError("g must be at least 2")
+        super().__init__(c2=c2, g=g)
 
     @property
     def form(self) -> QuadForm2:
@@ -60,8 +61,7 @@ class IsotropicSearch(Value):
     existence verdict for the unbounded problem."""
 
     def __init__(self, classes: tuple[BBClass, ...], exists: bool):
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "exists", exists)
+        super().__init__(classes=classes, exists=exists)
 
 
 def isotropic_exists(lat: BBLattice) -> bool:

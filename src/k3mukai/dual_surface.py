@@ -70,21 +70,17 @@ class DualSurfaceReport(Value):
 
     def __init__(self, w: MukaiVector, d_square: int, gerbe_order: int, base_dim: int,
                  fine: bool, polarization_dual: int, d_ample_assumed: bool = True):
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "d_square", d_square)
-        object.__setattr__(self, "gerbe_order", gerbe_order)
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "fine", fine)
-        object.__setattr__(self, "polarization_dual", polarization_dual)
-        object.__setattr__(self, "d_ample_assumed", d_ample_assumed)
+        super().__init__(w=w, d_square=d_square, gerbe_order=gerbe_order,
+                         base_dim=base_dim, fine=fine,
+                         polarization_dual=polarization_dual,
+                         d_ample_assumed=d_ample_assumed)
 
 
 class QuotientClass(Value):
     """Generator of the rank-one quotient w-perp / Z.w and its square."""
 
     def __init__(self, generator_image: MukaiVector, square: int):
-        object.__setattr__(self, "generator_image", generator_image)
-        object.__setattr__(self, "square", square)
+        super().__init__(generator_image=generator_image, square=square)
 
 
 def quotient_lattice(w: MukaiVector, gram: NSGram) -> QuotientClass:
@@ -147,10 +143,7 @@ class ConstraintSolution(Value):
     """
 
     def __init__(self, k: int, l: int, de: int, e2: int):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "de", de)
-        object.__setattr__(self, "e2", e2)
+        super().__init__(k=k, l=l, de=de, e2=e2)
 
     def __str__(self) -> str:
         return f"(k={self.k}, l={self.l}, de={self.de}, e2={self.e2})"
@@ -159,10 +152,7 @@ class ConstraintSolution(Value):
 class TransformConstraintFamily(Value):
     def __init__(self, g: int, n: int, equations: tuple[str, ...],
                  solutions: tuple[ConstraintSolution, ...]):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "equations", equations)
-        object.__setattr__(self, "solutions", solutions)
+        super().__init__(g=g, n=n, equations=equations, solutions=solutions)
 
 
 def _transform_data(g: int, n: int, sol: ConstraintSolution):
@@ -259,10 +249,8 @@ class FibrationHit(Value):
 
     def __init__(self, w: MukaiVector, branch: str, d_square: int | None = None,
                  gerbe_order: int | None = None):
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "d_square", d_square)
-        object.__setattr__(self, "gerbe_order", gerbe_order)
+        super().__init__(w=w, branch=branch, d_square=d_square,
+                         gerbe_order=gerbe_order)
 
     def __str__(self) -> str:
         extra = "" if self.d_square is None else (
@@ -273,9 +261,7 @@ class FibrationHit(Value):
 
 class CriterionReport(Value):
     def __init__(self, v: MukaiVector, genus: int, hits: tuple[FibrationHit, ...]):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "hits", hits)
+        super().__init__(v=v, genus=genus, hits=hits)
 
 
 def general_fibration_criterion(

@@ -7,10 +7,12 @@ Mukai lattice is Z + NS + Z and the Mukai pairing is
 
     <(r, c, s), (r', c', s')> = c.G.c' - r*s' - r'*s.
 
-Everything here is exact: components are Python integers of any size (a
-float raises TypeError rather than being truncated), and no floating point
-appears anywhere.  All values are immutable, so every function in this
-module is safe to call from concurrent threads.
+Everything here is exact: each constructor passes its components through
+`operator.index` and hands them to `Value.__init__`, so they are Python
+integers of any size (a float raises TypeError rather than being
+truncated), and no floating point appears anywhere.  All values are
+immutable, so every function in this module is safe to call from
+concurrent threads.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class NSGram(Value):
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         entries = tuple(tuple(map(index, row)) for row in entries)
-        object.__setattr__(self, "entries", entries)
         k = len(entries)
         if k not in (1, 2):
             raise ValueError(f"NS rank must be 1 or 2, got {k}")
@@ -63,6 +64,7 @@ class NSGram(Value):
             raise ValueError("Gram matrix must be symmetric")
         if any(entries[i][i] % 2 for i in range(k)):
             raise ValueError("Gram diagonal must be even (K3 Neron-Severi lattice)")
+        super().__init__(entries=entries)
 
     @classmethod
     @lru_cache(maxsize=GRAM_CACHE_SIZE, typed=True)
@@ -100,14 +102,12 @@ class MukaiVector(Value):
     """
 
     def __init__(self, r: int, c: tuple[int, ...], s: int):
-        object.__setattr__(self, "r", index(r))
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "s", index(s))
+        super().__init__(r=index(r), c=tuple(map(index, c)), s=index(s))
         self.__post_init__()
 
     def __post_init__(self):
-        # a method of its own, so that a tracer can wrap it to count vectors built
-        object.__setattr__(self, "c", tuple(map(index, self.c)))
+        """Runs once per construction and stores nothing; a tracer wraps it
+        to count the vectors built."""
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         self._check_rank(other)
@@ -157,7 +157,7 @@ class Polarization(Value):
     """NS coordinates of the ample class used to measure degrees."""
 
     def __init__(self, h: tuple[int, ...]):
-        object.__setattr__(self, "h", tuple(map(index, h)))
+        super().__init__(h=tuple(map(index, h)))
 
 
 def pairing(v: MukaiVector, u: MukaiVector, gram: NSGram) -> int:

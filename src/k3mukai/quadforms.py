@@ -13,6 +13,7 @@ for, the determinant always settles the question.
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import index
 
 from .value import Value
 
@@ -32,9 +33,7 @@ class QuadForm2(Value):
     """Symmetric 2x2 integer Gram matrix."""
 
     def __init__(self, m11: int, m12: int, m22: int):
-        object.__setattr__(self, "m11", m11)
-        object.__setattr__(self, "m12", m12)
-        object.__setattr__(self, "m22", m22)
+        super().__init__(m11=index(m11), m12=index(m12), m22=index(m22))
 
     def determinant(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m12
@@ -83,10 +82,7 @@ class PicardSchemeForm(Value):
     with the generators (0, 0, 1) and (a0, b0 D, 0) that produce it."""
 
     def __init__(self, form: QuadForm2, a0: int, b0: int, ell: int):
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "ell", ell)
+        super().__init__(form=form, a0=a0, b0=b0, ell=ell)
 
 
 def picard_scheme_form(g: int, d: int) -> PicardSchemeForm:
@@ -211,10 +207,8 @@ class EquivalenceResult(Value):
 
     def __init__(self, verdict: str, certificate: str | None = None,
                  values: tuple | None = None, witness: Matrix | None = None):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "witness", witness)
+        super().__init__(verdict=verdict, certificate=certificate, values=values,
+                         witness=witness)
 
 
 def equivalent(f1: QuadForm2, f2: QuadForm2, proper: bool = False) -> EquivalenceResult:

@@ -2,9 +2,13 @@
 
 
 class Value:
-    """Equality, hash and repr over `vars(self)`, where each subclass's `__init__`
-    sets the fields in order through `object.__setattr__`; assignment raises.
+    """Equality, hash and repr over `vars(self)`; assignment raises.  Each
+    subclass's `__init__` ends with one `super().__init__(name=value, ...)`
+    call in its parameter order, so `Value.__init__` is the one field store.
     Unlike `dataclasses`, it generates no code at import time."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

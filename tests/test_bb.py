@@ -82,6 +82,27 @@ class TestBBLattice:
         with pytest.raises(ValueError):
             BBLattice(8, 1)
 
+    @pytest.mark.parametrize(
+        "c2, g", [(8.0, 2), (8, 2.0), (Fraction(8), 2)], ids=["c2", "g", "fraction"]
+    )
+    def test_rejects_non_integers(self, c2, g):
+        with pytest.raises(TypeError):
+            BBLattice(c2, g)
+
+    def test_integer_types_become_int(self):
+        # True is the integer 1, which fails the range checks for both fields
+        class Integer:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        lat = BBLattice(Integer(8), Integer(2))
+        assert (lat.c2, lat.g) == (8, 2)
+        assert all(type(x) is int for x in vars(lat).values())
+        assert type(lat.form.m11) is int
+
 
 class TestFindIsotropic:
     def test_motivating_example(self):

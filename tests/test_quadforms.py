@@ -44,6 +44,22 @@ class TestQuadForm2:
         uv = ((1 * 1 + 1 * 2, 1 * 0 + 1 * 1), (0 * 1 + 1 * 2, 0 * 0 + 1 * 1))
         assert f.transform(u).transform(v) == f.transform(uv)
 
+    @pytest.mark.parametrize(
+        "entries", [(2.0, 1, 3), (2, 1.0, 3), (2, 1, 3.5)], ids=["m11", "m12", "m22"]
+    )
+    def test_rejects_non_integers(self, entries):
+        with pytest.raises(TypeError):
+            QuadForm2(*entries)
+
+    def test_integer_types_become_int(self):
+        class Integer:
+            def __index__(self):
+                return -3
+
+        f = QuadForm2(True, Integer(), 2)
+        assert (f.m11, f.m12, f.m22) == (1, -3, 2)
+        assert all(type(x) is int for x in vars(f).values())
+
 
 def up_to_sign(lines):
     return {max((x, y), (-x, -y)) for x, y in lines}

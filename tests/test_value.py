@@ -104,6 +104,21 @@ def test_fields_follow_init_order(cls):
     assert list(vars(SAMPLES[cls]())) == parameters(cls)
 
 
+@CLASSES
+def test_value_init_stores_every_field_in_one_call(cls, monkeypatch):
+    calls = []
+    original = Value.__init__
+
+    def recorded(self, **fields):
+        calls.append((type(self), list(fields)))
+        original(self, **fields)
+
+    monkeypatch.setattr(Value, "__init__", recorded)
+    SAMPLES[cls]()
+    # a sample may build other values first, such as PicardSchemeForm's QuadForm2
+    assert [names for owner, names in calls if owner is cls] == [parameters(cls)]
+
+
 def test_mukai_vector_post_init_runs_once_per_construction(monkeypatch):
     calls = []
     original = MukaiVector.__post_init__
