@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 when a record fails ("pass" false), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from math import isqrt
@@ -510,6 +511,9 @@ _SUBCOMMANDS = {
     )),
 }
 _EQUIV_EPILOG = "Forms are symmetric Gram matrices m11,m12,m22."
+# help and usage wrap at 78 columns, as argparse wraps them on an
+# 80-column terminal, whatever the terminal or COLUMNS says
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
 class _LoneParseError(Exception):
@@ -536,16 +540,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The full parser, or `command`'s subparser alone, which reads the
     arguments after the name and raises `_LoneParseError` on any error."""
     if command is not None:
-        parser = _LoneParser(prog="k3mukai " + command)
+        parser = _LoneParser(prog="k3mukai " + command, formatter_class=_FORMATTER)
         parser.set_defaults(command=command)
         return _add_flags(parser, command)
     parser = argparse.ArgumentParser(
         prog="k3mukai",
         description="Exact Mukai-lattice arithmetic for K3 surfaces",
+        formatter_class=_FORMATTER,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, _) in _SUBCOMMANDS.items():
-        _add_flags(sub.add_parser(name, help=help_line), name)
+        _add_flags(sub.add_parser(name, help=help_line, formatter_class=_FORMATTER), name)
     return parser
 
 

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -497,8 +498,7 @@ def option_signature(parser):
 
 class TestParser:
     @pytest.mark.parametrize("name", list(_SUBCOMMANDS))
-    def test_lone_parser_equals_full_subparser(self, monkeypatch, name):
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_lone_parser_equals_full_subparser(self, name):
         (action,) = [
             a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
@@ -527,6 +527,40 @@ class TestParser:
             [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
         )
         assert result.stdout == "[]\n"
+
+    def test_package_import_leaves_cli_unloaded(self):
+        # the package republishes library modules only; a wildcard import of
+        # cli would load argparse and the CLI on every library import
+        src = os.path.dirname(os.path.dirname(k3mukai.checks.__file__))
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+            "import k3mukai; "
+            "watched = ('k3mukai.cli', 'argparse', 'json'); "
+            "print(sorted(m for m in watched if m in sys.modules and m not in before))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "[]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["equiv", "--help"],
+            PARSER_CASES["trailing_argument"][0],
+            TRANSCRIPTS["pair.txt"],
+        ],
+        ids=["help", "equiv_help", "usage_error", "pair"],
+    )
+    def test_main_never_reads_terminal_width(self, monkeypatch, argv):
+        # help and usage wrap at a fixed width, so output cannot follow the terminal
+        def refuse():
+            raise AssertionError("shutil.get_terminal_size called")
+
+        monkeypatch.setattr(shutil, "get_terminal_size", refuse)
+        with contextlib.suppress(SystemExit):
+            main(list(argv))
 
     def test_all_subcommands_registered(self):
         parser = build_parser()

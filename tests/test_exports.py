@@ -1,10 +1,11 @@
 """Export integrity: each module's `__all__` names what it defines, and the
-package re-exports only names its modules list in `__all__`."""
+package republishes exactly the `__all__` of the modules it imports."""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -15,14 +16,23 @@ MODULES = sorted(
 )
 
 
-def package_imports() -> dict[str, list[str]]:
-    """module name -> names that `k3mukai/__init__.py` imports from it."""
+def republished_modules() -> list[str]:
+    """The modules that `k3mukai/__init__.py` imports, each as `from .<module> import *`;
+    any other statement but the docstring and dunder assignments fails."""
     tree = ast.parse(Path(k3mukai.__file__).read_text())
-    imports = {}
+    modules = []
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            imports.setdefault(node.module, []).extend(alias.name for alias in node.names)
-    return imports
+        if isinstance(node, ast.ImportFrom):
+            assert (node.level, [alias.name for alias in node.names]) == (1, ["*"])
+            modules.append(node.module)
+        elif isinstance(node, ast.Assign):
+            assert all(
+                isinstance(target, ast.Name) and target.id.startswith("__")
+                for target in node.targets
+            )
+        else:
+            assert isinstance(node, ast.Expr) and node is tree.body[0], ast.dump(node)
+    return modules
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,9 +43,13 @@ def test_all_names_resolve(name):
 
 
 def test_package_imports_are_exported():
-    imports = package_imports()
-    assert set(imports) <= set(MODULES)
-    for name, names in imports.items():
-        exported = getattr(importlib.import_module(f"k3mukai.{name}"), "__all__", ())
-        assert [attr for attr in names if attr not in exported] == [], name
-    assert imports
+    modules = republished_modules()
+    assert modules and set(modules) <= set(MODULES)
+    exported = set()
+    for name in modules:
+        exported.update(importlib.import_module(f"k3mukai.{name}").__all__)
+    public = {
+        name for name, value in vars(k3mukai).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == exported
