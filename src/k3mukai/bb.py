@@ -34,7 +34,7 @@ class BBClass(Value):
     """Divisor class a*C + b*E in (C, E) coordinates."""
 
     def __init__(self, a: int, b: int):
-        super().__init__(a=a, b=b)
+        Value.__init__(self, a=a, b=b)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"
@@ -49,7 +49,7 @@ class BBLattice(Value):
             raise ValueError("c2 must be a positive even integer")
         if g < 2:
             raise ValueError("g must be at least 2")
-        super().__init__(c2=c2, g=g)
+        Value.__init__(self, c2=c2, g=g)
 
     @property
     def form(self) -> QuadForm2:
@@ -61,7 +61,7 @@ class IsotropicSearch(Value):
     existence verdict for the unbounded problem."""
 
     def __init__(self, classes: tuple[BBClass, ...], exists: bool):
-        super().__init__(classes=classes, exists=exists)
+        Value.__init__(self, classes=classes, exists=exists)
 
 
 def isotropic_exists(lat: BBLattice) -> bool:

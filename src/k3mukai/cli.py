@@ -49,7 +49,6 @@ from .mukai import (
     square,
 )
 from .quadforms import QuadForm2, equivalent, gen_picard_determinant, picard_scheme_form
-from .value import Value
 
 __all__ = ["ledger_checks", "census_records", "main"]
 
@@ -69,14 +68,6 @@ CENSUS_JOBS_MAX = 8
 
 class UsageError(Exception):
     pass
-
-
-def _encode(value):
-    """JSON form of a library value, the one type `json` cannot encode."""
-    if isinstance(value, Value):
-        # a value's __dict__ holds its fields in `__init__` order
-        return vars(value)
-    raise TypeError(f"cannot encode {type(value).__name__}")
 
 
 def _format_value(value) -> str:
@@ -372,8 +363,8 @@ def cmd_dual(args) -> list[dict]:
             "w": report.w,
             "c2": 2 * (args.g - 1) * args.n * args.n,
             **vars(report),
-            "constraints": list(family.equations),
-            "solutions": list(family.solutions),
+            "constraints": family.equations,
+            "solutions": family.solutions,
         },
     }]
 
@@ -381,10 +372,14 @@ def cmd_dual(args) -> list[dict]:
 def cmd_criterion(args) -> list[dict]:
     _require_at_least(args.bound, 1, "--bound")
     if args.v is not None:
+        if args.g is not None or args.n is not None:
+            raise UsageError("--v cannot be combined with --g or --n")
         if args.c2 is None:
             raise UsageError("--v requires --c2")
         v, c2 = _parse_vector(args.v), args.c2
     elif args.g is not None:
+        if args.c2 is not None and args.n is not None:
+            raise UsageError("--g takes --n or --c2, not both")
         _require_at_least(args.g, 2, "--g")
         v = MukaiVector(1, (0,), 1 - args.g)
         if args.c2 is not None:
@@ -409,6 +404,8 @@ def cmd_equiv(args) -> list[dict]:
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
             raise UsageError("--f1 and --f2 must be given together")
+        if args.g is not None or args.n is not None or args.d is not None:
+            raise UsageError("--f1/--f2 cannot be combined with --g, --n or --d")
         f1, f2 = _parse_form(args.f1), _parse_form(args.f2)
         inputs = {"f1": f1, "f2": f2, "bound": args.bound}
     else:
@@ -593,7 +590,12 @@ def main(argv=None) -> int:
         # render all output first: an int past str()'s digit limit raises ValueError
         if args.json:
             import json  # imported on first use: table output never needs it
-            encode = json.JSONEncoder(separators=(",", ":"), default=_encode).encode
+            # a library value, the one type `json` cannot encode, encodes as its
+            # __dict__: its fields in `__init__` order.  A record is a fresh tree
+            # of immutable values, so it has no cycle for the encoder to look for.
+            encode = json.JSONEncoder(
+                separators=(",", ":"), default=vars, check_circular=False
+            ).encode
             text = "".join(encode(record) + "\n" for record in records)
         else:
             text = _RENDERERS.get(args.command, _render_default)(records)

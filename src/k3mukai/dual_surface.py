@@ -70,17 +70,17 @@ class DualSurfaceReport(Value):
 
     def __init__(self, w: MukaiVector, d_square: int, gerbe_order: int, base_dim: int,
                  fine: bool, polarization_dual: int, d_ample_assumed: bool = True):
-        super().__init__(w=w, d_square=d_square, gerbe_order=gerbe_order,
-                         base_dim=base_dim, fine=fine,
-                         polarization_dual=polarization_dual,
-                         d_ample_assumed=d_ample_assumed)
+        Value.__init__(self, w=w, d_square=d_square, gerbe_order=gerbe_order,
+                       base_dim=base_dim, fine=fine,
+                       polarization_dual=polarization_dual,
+                       d_ample_assumed=d_ample_assumed)
 
 
 class QuotientClass(Value):
     """Generator of the rank-one quotient w-perp / Z.w and its square."""
 
     def __init__(self, generator_image: MukaiVector, square: int):
-        super().__init__(generator_image=generator_image, square=square)
+        Value.__init__(self, generator_image=generator_image, square=square)
 
 
 def quotient_lattice(w: MukaiVector, gram: NSGram) -> QuotientClass:
@@ -143,7 +143,7 @@ class ConstraintSolution(Value):
     """
 
     def __init__(self, k: int, l: int, de: int, e2: int):
-        super().__init__(k=k, l=l, de=de, e2=e2)
+        Value.__init__(self, k=k, l=l, de=de, e2=e2)
 
     def __str__(self) -> str:
         return f"(k={self.k}, l={self.l}, de={self.de}, e2={self.e2})"
@@ -152,7 +152,7 @@ class ConstraintSolution(Value):
 class TransformConstraintFamily(Value):
     def __init__(self, g: int, n: int, equations: tuple[str, ...],
                  solutions: tuple[ConstraintSolution, ...]):
-        super().__init__(g=g, n=n, equations=equations, solutions=solutions)
+        Value.__init__(self, g=g, n=n, equations=equations, solutions=solutions)
 
 
 def _transform_data(g: int, n: int, sol: ConstraintSolution):
@@ -179,7 +179,7 @@ def verify_solution(g: int, n: int, sol: ConstraintSolution) -> bool:
 
 def _member(n: int, k: int, l: int) -> ConstraintSolution:
     """The family member at (k, l): de = 1 - n*k, e2 = 2*n*l."""
-    return ConstraintSolution(k=k, l=l, de=1 - n * k, e2=2 * n * l)
+    return ConstraintSolution(k, l, 1 - n * k, 2 * n * l)
 
 
 def member_gram(g: int, n: int, sol: ConstraintSolution | None = None) -> NSGram:
@@ -231,7 +231,7 @@ def solve_transform_constraints(
     k_values, l_values = family_ranges(k_range)
     if not family_holds(g, n):
         raise AssertionError(f"transform constraint family fails for g={g}, n={n}")
-    solutions = tuple(_member(n, k, l) for k in k_values for l in l_values)
+    solutions = tuple([_member(n, k, l) for k in k_values for l in l_values])
     equations = (
         f"de + {n}*k == 1",
         f"e2 == {2 * n}*l",
@@ -249,8 +249,8 @@ class FibrationHit(Value):
 
     def __init__(self, w: MukaiVector, branch: str, d_square: int | None = None,
                  gerbe_order: int | None = None):
-        super().__init__(w=w, branch=branch, d_square=d_square,
-                         gerbe_order=gerbe_order)
+        Value.__init__(self, w=w, branch=branch, d_square=d_square,
+                       gerbe_order=gerbe_order)
 
     def __str__(self) -> str:
         extra = "" if self.d_square is None else (
@@ -261,7 +261,7 @@ class FibrationHit(Value):
 
 class CriterionReport(Value):
     def __init__(self, v: MukaiVector, genus: int, hits: tuple[FibrationHit, ...]):
-        super().__init__(v=v, genus=genus, hits=hits)
+        Value.__init__(self, v=v, genus=genus, hits=hits)
 
 
 def general_fibration_criterion(

@@ -64,7 +64,7 @@ class NSGram(Value):
             raise ValueError("Gram matrix must be symmetric")
         if any(entries[i][i] % 2 for i in range(k)):
             raise ValueError("Gram diagonal must be even (K3 Neron-Severi lattice)")
-        super().__init__(entries=entries)
+        Value.__init__(self, entries=entries)
 
     @classmethod
     @lru_cache(maxsize=GRAM_CACHE_SIZE, typed=True)
@@ -102,7 +102,7 @@ class MukaiVector(Value):
     """
 
     def __init__(self, r: int, c: tuple[int, ...], s: int):
-        super().__init__(r=index(r), c=tuple(map(index, c)), s=index(s))
+        Value.__init__(self, r=index(r), c=tuple(map(index, c)), s=index(s))
         self.__post_init__()
 
     def __post_init__(self):
@@ -157,7 +157,7 @@ class Polarization(Value):
     """NS coordinates of the ample class used to measure degrees."""
 
     def __init__(self, h: tuple[int, ...]):
-        super().__init__(h=tuple(map(index, h)))
+        Value.__init__(self, h=tuple(map(index, h)))
 
 
 def pairing(v: MukaiVector, u: MukaiVector, gram: NSGram) -> int:

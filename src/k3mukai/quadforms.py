@@ -33,7 +33,7 @@ class QuadForm2(Value):
     """Symmetric 2x2 integer Gram matrix."""
 
     def __init__(self, m11: int, m12: int, m22: int):
-        super().__init__(m11=index(m11), m12=index(m12), m22=index(m22))
+        Value.__init__(self, m11=index(m11), m12=index(m12), m22=index(m22))
 
     def determinant(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m12
@@ -82,7 +82,7 @@ class PicardSchemeForm(Value):
     with the generators (0, 0, 1) and (a0, b0 D, 0) that produce it."""
 
     def __init__(self, form: QuadForm2, a0: int, b0: int, ell: int):
-        super().__init__(form=form, a0=a0, b0=b0, ell=ell)
+        Value.__init__(self, form=form, a0=a0, b0=b0, ell=ell)
 
 
 def picard_scheme_form(g: int, d: int) -> PicardSchemeForm:
@@ -207,8 +207,8 @@ class EquivalenceResult(Value):
 
     def __init__(self, verdict: str, certificate: str | None = None,
                  values: tuple | None = None, witness: Matrix | None = None):
-        super().__init__(verdict=verdict, certificate=certificate, values=values,
-                         witness=witness)
+        Value.__init__(self, verdict=verdict, certificate=certificate, values=values,
+                       witness=witness)
 
 
 def equivalent(f1: QuadForm2, f2: QuadForm2, proper: bool = False) -> EquivalenceResult:

@@ -3,9 +3,10 @@
 
 class Value:
     """Equality, hash and repr over `vars(self)`; assignment raises.  Each
-    subclass's `__init__` ends with one `super().__init__(name=value, ...)`
-    call in its parameter order, so `Value.__init__` is the one field store.
-    Unlike `dataclasses`, it generates no code at import time."""
+    subclass's `__init__` ends with one `Value.__init__(self, name=value, ...)`
+    call in its parameter order, so `Value.__init__` is the one field store;
+    naming the base, not calling `super()`, makes no `super` object per
+    value.  Unlike `dataclasses`, it generates no code at import time."""
 
     def __init__(self, **fields):
         self.__dict__.update(fields)

@@ -27,7 +27,8 @@ from k3mukai.cli import (
 )
 from k3mukai.dual_surface import DualSurfaceReport
 from k3mukai.quadforms import EquivalenceResult
-from test_golden import PARSER_CASES, TRANSCRIPTS
+from k3mukai.value import Value
+from test_golden import DUAL_SPAN_CAP, PARSER_CASES, TRANSCRIPTS
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,17 @@ class TestCriterion:
 
     @pytest.mark.parametrize(
         "argv",
+        [["--v=1,0,-1", "--c2", "8", "--g", "2"], ["--v=1,0,-1", "--c2", "8", "--n", "2"],
+         ["--g", "2", "--n", "2", "--c2", "8"]],
+    )
+    def test_conflicting_flags_are_usage_errors(self, capsys, argv):
+        # each flag here would otherwise be ignored
+        code, out, err = run_cli(capsys, "criterion", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
         [["--v", "1,0,-1", "--c2", "-8"], ["--v", "1,0,-1", "--c2", "0"],
          ["--g", "2", "--c2", "-2"]],
     )
@@ -188,6 +200,13 @@ class TestEquiv:
     def test_missing_inputs(self, capsys):
         code, _, err = run_cli(capsys, "equiv", "--g", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--g", "--n", "--d"])
+    def test_forms_exclude_picard_flags(self, capsys, flag):
+        argv = ["equiv", "--f1", "8,0,-2", "--f2", "0,-2,2", flag, "2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --f1/--f2 cannot be combined with --g, --n or --d\n"
 
     def test_picard_family_needs_g_and_n_at_least_2(self, capsys):
         for g, n in [("2", "1"), ("1", "2")]:
@@ -473,6 +492,50 @@ class TestUnprintableOutput:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "integer string conversion" in err
         assert err.count("\n") == 1
+
+
+# every argv whose output a golden or a digest pins
+GOLDEN_ARGV = {
+    **TRANSCRIPTS, "verify_paper_full": ["verify-paper"], "dual_span_cap": DUAL_SPAN_CAP,
+}
+
+
+def assert_encodable(value):
+    """`value` holds only int, str, bool and None leaves, inside lists,
+    tuples, str-keyed dicts and library values: the types `main`'s encoder
+    writes, a library value as its `vars`."""
+    if isinstance(value, Value):
+        value = vars(value)
+    if type(value) is dict:
+        assert all(type(key) is str for key in value), value
+        value = value.values()
+    elif type(value) not in (list, tuple):
+        assert type(value) in (int, str, bool, type(None)), value
+        return
+    for item in value:
+        assert_encodable(item)
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+    def test_records_hold_only_encodable_types(self, name):
+        argv = GOLDEN_ARGV[name]
+        args = build_parser(argv[0]).parse_args(argv[1:])
+        records = getattr(k3mukai.cli, "cmd_" + args.command.replace("-", "_"))(args)
+        assert records
+        for record in records:
+            assert_encodable(record)
+
+    @pytest.mark.parametrize("value", [{1}, object()], ids=["set", "object"])
+    def test_walk_rejects_other_types(self, value):
+        with pytest.raises(AssertionError):
+            assert_encodable({"outputs": {"x": [value]}})
+
+    def test_set_in_a_record_raises(self, monkeypatch):
+        record = {"command": "pair", "inputs": {}, "outputs": {"pairing": {1}}}
+        monkeypatch.setattr(k3mukai.cli, "cmd_pair", lambda args: [record])
+        with pytest.raises(TypeError):
+            main(["pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "2", "--json"])
 
 
 class TestDeterminism:

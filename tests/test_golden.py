@@ -99,12 +99,25 @@ ERROR_CASES = {
     "criterion_short_vector": ["criterion", "--v=1,2", "--c2", "8"],
     "pair_bad_vector": ["pair", "--v", "1,x,2", "--u", "1,0,1", "--c2", "8"],
     "equiv_missing_flags": ["equiv", "--g", "2"],
+    # flags that would otherwise be ignored
+    "criterion_v_with_g_n": [
+        "criterion", "--v=1,0,-1", "--c2", "8", "--g", "7", "--n", "3",
+    ],
+    "criterion_g_with_n_and_c2": ["criterion", "--g", "3", "--n", "2", "--c2", "100"],
+    "equiv_forms_with_g_n_d": [
+        "equiv", "--f1", "8,0,-2", "--f2", "0,-2,2", "--g", "5", "--n", "3", "--d", "1",
+    ],
     "census_g_max_above_cap": ["census", "--g-max", "101"],
 }
 
 # full 2 <= g, n <= 10 ledger: 7,220 records, 1,144,271 bytes as NDJSON
 FULL_GRID_JSON_SHA256 = "af5bc0f8b3589253f909eccdb8bf95cdf8f91f9aa74368362a08725c8202f9b5"
 FULL_GRID_TABLE_SHA256 = "34b379d6622056284c7badc3641da4953f2236277274b23e8f318f7e36d5af32"
+# `dual` at its span cap, 41 k by 81 l: 3,321 members, 111,040 bytes as
+# NDJSON and 97,871 as a table
+DUAL_SPAN_CAP = ["dual", "--g", "3", "--n", "2", "--k-min", "-20", "--k-max", "20"]
+DUAL_SPAN_CAP_JSON_SHA256 = "f4c353b80594baef2b9af6ef4bc2fb546aa77ae332760c00126e7fb3ed4fbdc1"
+DUAL_SPAN_CAP_TABLE_SHA256 = "8c399599fdc877413efb406bb3b5e6c7abcf86ae7be2217c706db3a94728832f"
 
 
 def stdout_of(capsys, argv) -> str:
@@ -128,6 +141,16 @@ def test_transcript_matches(capsys, name):
 )
 def test_full_grid_digest(capsys, argv, digest):
     out = stdout_of(capsys, argv).encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [(["--json"], DUAL_SPAN_CAP_JSON_SHA256), ([], DUAL_SPAN_CAP_TABLE_SHA256)],
+    ids=["json", "table"],
+)
+def test_dual_span_cap_digest(capsys, flags, digest):
+    out = stdout_of(capsys, DUAL_SPAN_CAP + flags).encode()
     assert hashlib.sha256(out).hexdigest() == digest
 
 
