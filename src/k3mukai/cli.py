@@ -62,12 +62,6 @@ CENSUS_GRID_MAX = 100
 # Largest -det of `equiv` forms sharing a negative non-square determinant: their
 # cycle of reduced forms grows like sqrt(-det), to about 4,300 forms and 20 ms.
 EQUIV_DET_MAX = 10**6
-# Largest `census --jobs`, a flag that is checked and then ignored.
-CENSUS_JOBS_MAX = 8
-
-
-class UsageError(Exception):
-    pass
 
 
 def _format_value(value) -> str:
@@ -217,8 +211,8 @@ def ledger_checks(g_values, n_values) -> list[dict]:
 def census_records(g_max: int, n_max: int, jobs: int = 1) -> list[dict]:
     """One record per grid point, ordered by (g, n).
 
-    `jobs` has no effect: the census is CPU-bound Python, which threads only
-    slow down under the GIL.
+    `jobs` has no effect: the census is CPU-bound Python, which threads
+    only slow down under the GIL.  It stays for perfbench until ROADMAP item 1.
     """
     records = []
     for g in range(2, g_max + 1):
@@ -288,29 +282,24 @@ def _render_verify(records) -> str:
 # subcommands
 
 
+def _parse_triple(text: str, kind: str, spelling: str) -> list[int]:
+    try:
+        parts = [int(piece) for piece in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"cannot parse {kind} {text!r}: {exc}") from None
+    if len(parts) != 3:
+        raise ValueError(f"{kind}s take the form {spelling}")
+    return parts
+
+
 def _parse_vector(text: str) -> MukaiVector:
-    try:
-        parts = [int(piece) for piece in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse vector {text!r}: {exc}") from None
-    if len(parts) != 3:
-        raise UsageError("vectors take the form r,c,s (rank-one NS)")
-    return MukaiVector(parts[0], (parts[1],), parts[2])
-
-
-def _parse_form(text: str) -> QuadForm2:
-    try:
-        parts = [int(piece) for piece in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse form {text!r}: {exc}") from None
-    if len(parts) != 3:
-        raise UsageError("forms take the form m11,m12,m22")
-    return QuadForm2(*parts)
+    r, c, s = _parse_triple(text, "vector", "r,c,s (rank-one NS)")
+    return MukaiVector(r, (c,), s)
 
 
 def _require_at_least(value: int, minimum: int, flag: str) -> None:
     if value < minimum:
-        raise UsageError(f"{flag} must be at least {minimum}")
+        raise ValueError(f"{flag} must be at least {minimum}")
 
 
 def cmd_pair(args) -> list[dict]:
@@ -352,7 +341,7 @@ def cmd_dual(args) -> list[dict]:
     _require_at_least(args.g, 2, "--g")
     _require_at_least(args.n, 2, "--n")
     if args.k_max - args.k_min > DUAL_K_SPAN_MAX:
-        raise UsageError(f"--k-max - --k-min must be at most {DUAL_K_SPAN_MAX}")
+        raise ValueError(f"--k-max - --k-min must be at most {DUAL_K_SPAN_MAX}")
     report = build_dual(args.g, args.n)
     family = solve_transform_constraints(args.g, args.n, (args.k_min, args.k_max))
     return [{
@@ -373,13 +362,13 @@ def cmd_criterion(args) -> list[dict]:
     _require_at_least(args.bound, 1, "--bound")
     if args.v is not None:
         if args.g is not None or args.n is not None:
-            raise UsageError("--v cannot be combined with --g or --n")
+            raise ValueError("--v cannot be combined with --g or --n")
         if args.c2 is None:
-            raise UsageError("--v requires --c2")
+            raise ValueError("--v requires --c2")
         v, c2 = _parse_vector(args.v), args.c2
     elif args.g is not None:
         if args.c2 is not None and args.n is not None:
-            raise UsageError("--g takes --n or --c2, not both")
+            raise ValueError("--g takes --n or --c2, not both")
         _require_at_least(args.g, 2, "--g")
         v = MukaiVector(1, (0,), 1 - args.g)
         if args.c2 is not None:
@@ -388,9 +377,9 @@ def cmd_criterion(args) -> list[dict]:
             _require_at_least(args.n, 2, "--n")
             c2 = 2 * (args.g - 1) * args.n * args.n
         else:
-            raise UsageError("--g needs either --n or --c2 to fix the lattice")
+            raise ValueError("--g needs either --n or --c2 to fix the lattice")
     else:
-        raise UsageError("criterion needs --v with --c2, or --g with --n/--c2")
+        raise ValueError("criterion needs --v with --c2, or --g with --n/--c2")
     report = general_fibration_criterion(v, NSGram.rank_one(c2), args.bound)
     return [{
         "command": "criterion",
@@ -403,24 +392,25 @@ def cmd_equiv(args) -> list[dict]:
     _require_at_least(args.bound, 1, "--bound")
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
-            raise UsageError("--f1 and --f2 must be given together")
+            raise ValueError("--f1 and --f2 must be given together")
         if args.g is not None or args.n is not None or args.d is not None:
-            raise UsageError("--f1/--f2 cannot be combined with --g, --n or --d")
-        f1, f2 = _parse_form(args.f1), _parse_form(args.f2)
+            raise ValueError("--f1/--f2 cannot be combined with --g, --n or --d")
+        f1 = QuadForm2(*_parse_triple(args.f1, "form", "m11,m12,m22"))
+        f2 = QuadForm2(*_parse_triple(args.f2, "form", "m11,m12,m22"))
         inputs = {"f1": f1, "f2": f2, "bound": args.bound}
     else:
         if args.g is None or args.n is None or args.d is None:
-            raise UsageError("equiv needs --f1/--f2 or all of --g, --n, --d")
+            raise ValueError("equiv needs --f1/--f2 or all of --g, --n, --d")
         _require_at_least(args.g, 2, "--g")
         _require_at_least(args.n, 2, "--n")
         if args.d < 0:
-            raise UsageError("--d must be non-negative")
+            raise ValueError("--d must be non-negative")
         f1 = BBLattice(2 * (args.g - 1) * args.n * args.n, args.g).form
         f2 = picard_scheme_form(args.g, args.d).form
         inputs = {"g": args.g, "n": args.n, "d": args.d, "bound": args.bound}
     det = f1.determinant()
     if det == f2.determinant() < -EQUIV_DET_MAX and isqrt(-det) ** 2 != -det:
-        raise UsageError(f"a shared non-square det must be at least -{EQUIV_DET_MAX}")
+        raise ValueError(f"a shared non-square det must be at least -{EQUIV_DET_MAX}")
     result = equivalent(f1, f2, proper=args.proper)
     outputs = {} if "f1" in inputs else {"f1": f1, "f2": f2}
     outputs["verdict"] = result.verdict
@@ -436,7 +426,7 @@ def cmd_verify_paper(args) -> list[dict]:
     if args.g is not None:
         _require_at_least(args.g, 2, "--g")
         if args.g > CENSUS_GRID_MAX:
-            raise UsageError(f"--g must be at most {CENSUS_GRID_MAX}")
+            raise ValueError(f"--g must be at most {CENSUS_GRID_MAX}")
     if args.n is not None:
         _require_at_least(args.n, 2, "--n")
     g_values = [args.g] if args.g is not None else range(2, 11)
@@ -447,12 +437,9 @@ def cmd_verify_paper(args) -> list[dict]:
 def cmd_census(args) -> list[dict]:
     _require_at_least(args.g_max, 2, "--g-max")
     _require_at_least(args.n_max, 2, "--n-max")
-    _require_at_least(args.jobs, 1, "--jobs")
-    if args.jobs > CENSUS_JOBS_MAX:
-        raise UsageError(f"--jobs must be at most {CENSUS_JOBS_MAX}")
     if max(args.g_max, args.n_max) > CENSUS_GRID_MAX:
-        raise UsageError(f"--g-max and --n-max must be at most {CENSUS_GRID_MAX}")
-    return census_records(args.g_max, args.n_max, jobs=args.jobs)
+        raise ValueError(f"--g-max and --n-max must be at most {CENSUS_GRID_MAX}")
+    return census_records(args.g_max, args.n_max)
 
 
 _RENDERERS = {"census": _render_census, "verify-paper": _render_verify}
@@ -504,7 +491,6 @@ _SUBCOMMANDS = {
     "census": ("one row per (g, n)", (
         ("--g-max", {"type": int, "default": 10}),
         ("--n-max", {"type": int, "default": 10}),
-        ("--jobs", {"type": int, "default": 1}),
     )),
 }
 _EQUIV_EPILOG = "Forms are symmetric Gram matrices m11,m12,m22."
@@ -599,7 +585,7 @@ def main(argv=None) -> int:
             text = "".join(encode(record) + "\n" for record in records)
         else:
             text = _RENDERERS.get(args.command, _render_default)(records)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)

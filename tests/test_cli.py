@@ -5,9 +5,11 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ import k3mukai.checks
 import k3mukai.cli
 from k3mukai.cli import (
     CENSUS_GRID_MAX,
-    CENSUS_JOBS_MAX,
     DUAL_K_SPAN_MAX,
     EQUIV_DET_MAX,
     _SUBCOMMANDS,
@@ -418,30 +419,6 @@ class TestCensus:
         assert (code, out) == (2, "")
         assert "at most 100" in err
 
-    def test_jobs_at_cap(self, capsys):
-        assert CENSUS_JOBS_MAX == 8
-        _, serial, _ = run_cli(capsys, "census", "--g-max", "3", "--n-max", "3")
-        code, out, _ = run_cli(
-            capsys, "census", "--g-max", "3", "--n-max", "3", "--jobs", "8"
-        )
-        assert (code, out) == (0, serial)
-
-    def test_jobs_above_cap_starts_nothing(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("census_records called above the --jobs cap")
-
-        monkeypatch.setattr(k3mukai.cli, "census_records", refuse)
-        code, out, err = run_cli(capsys, "census", "--jobs", str(CENSUS_JOBS_MAX + 1))
-        assert (code, out) == (2, "")
-        assert "at most 8" in err
-
-    def test_parallel_matches_serial(self, capsys):
-        _, serial, _ = run_cli(capsys, "census", "--g-max", "5", "--n-max", "5")
-        _, parallel, _ = run_cli(
-            capsys, "census", "--g-max", "5", "--n-max", "5", "--jobs", "4"
-        )
-        assert serial == parallel
-
     def test_table_and_json_carry_identical_data(self, capsys):
         _, table, _ = run_cli(capsys, "census", "--g-max", "3", "--n-max", "3")
         _, stream, _ = run_cli(capsys, "census", "--g-max", "3", "--n-max", "3", "--json")
@@ -732,6 +709,7 @@ def fuzz_argv(draw):
             argv += [name, draw(LIST_VALUES if name in LIST_FLAGS else INT_VALUES)]
     if draw(st.integers(0, 5)) == 0:
         argv += [draw(st.sampled_from(["--v", "--g", "--bogus"])), draw(INT_VALUES)]
+    # census has no --jobs: both parsers must refuse it as an unknown flag
     if command == "census" and draw(st.booleans()):
         argv += ["--jobs", str(draw(st.integers()))]
     if command == "equiv" and draw(st.booleans()):
@@ -802,7 +780,7 @@ PARSER_EDGE_ARGV = [
     ["square", "--v", "1,0,1", "--v", "2,0,1", "--c2", "8"],
     ["square", "--v", "1,0,1", "--c2", "8", "-h"],
     ["square", "--v", "1,0,1", "--c2", "8", "--he"],
-    ["census", "--g-max", "3", "--n-max", "3", "--jobs"],
+    ["census", "--g-max", "3", "--n-max", "3", "--jobs"],  # a removed flag, no value
     ["equiv", "--g", "2", "--n", "2", "--d", "2", "--proper", "--proper"],
     ["verify-paper", "--g", "2", "--n"],
     ["verify-paper", "verify-paper"],
@@ -844,9 +822,20 @@ def test_fuzzed_lone_path_matches_full_parser(argv):
 
 def test_fuzz_flags_are_the_declared_flags():
     # a flag declared in _SUBCOMMANDS but missing here would escape the fuzz;
-    # the fuzz adds --jobs and --proper on its own
+    # the fuzz adds --proper on its own
     declared = {
-        name: tuple(flag for flag, _ in flags if flag not in ("--jobs", "--proper"))
+        name: tuple(flag for flag, _ in flags if flag != "--proper")
         for name, (_, flags) in _SUBCOMMANDS.items()
     }
     assert FUZZ_FLAGS == declared
+
+
+def test_readme_examples_exit_0():
+    # every `k3mukai ...` line of README's "Command line" block, so an example
+    # cannot keep a flag the CLI no longer takes
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = [line for line in block.splitlines() if line.startswith("k3mukai ")]
+    assert examples
+    codes = {line: run_main(shlex.split(line)[1:])[0] for line in examples}
+    assert codes == dict.fromkeys(examples, 0)

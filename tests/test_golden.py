@@ -61,10 +61,8 @@ TRANSCRIPTS = {
     "equiv_g2_n2_d2.ndjson": ["equiv", "--g", "2", "--n", "2", "--d", "2", "--json"],
     "equiv_forms.txt": ["equiv", "--f1", "8,0,-2", "--f2", "0,-2,2"],
     "equiv_forms.ndjson": ["equiv", "--f1", "8,0,-2", "--f2", "0,-2,2", "--json"],
-    "census_10_10.txt": ["census", "--g-max", "10", "--n-max", "10", "--jobs", "4"],
-    "census_10_10.ndjson": [
-        "census", "--g-max", "10", "--n-max", "10", "--jobs", "4", "--json",
-    ],
+    "census_10_10.txt": ["census", "--g-max", "10", "--n-max", "10"],
+    "census_10_10.ndjson": ["census", "--g-max", "10", "--n-max", "10", "--json"],
 }
 
 _PAIR = ["pair", "--v", "1,0,1", "--u", "1,0,1"]
@@ -87,10 +85,12 @@ PARSER_CASES = {
     "missing_u": (["pair", "--v", "1,0,1", "--c2", "2"], 2),
     # --json belongs to the subcommands, not to the top level
     "json_before_command": (["--json"] + _PAIR + ["--c2", "2"], 2),
+    # census has no --jobs: the flag is refused like any other unknown one
+    "census_jobs": (["census", "--jobs", "4"], 2),
 }
 
 # name -> argv that parses but is refused: `main` returns 2 and prints one
-# `error:` line to stderr, from a UsageError or from a library ValueError
+# `error:` line to stderr, from a ValueError raised by a handler or the library
 ERROR_CASES = {
     "dual_g_below_min": ["dual", "--g", "1", "--n", "2"],
     "dual_empty_k_range": ["dual", "--g", "2", "--n", "2", "--k-min", "3", "--k-max", "1"],
