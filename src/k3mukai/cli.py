@@ -348,10 +348,12 @@ def cmd_dual(args) -> list[dict]:
         "command": "dual",
         "inputs": {"g": args.g, "n": args.n, "k_min": args.k_min, "k_max": args.k_max},
         "outputs": {
-            # every field of the report, in its order, with c2 after w
+            # every field of the report, in its order, with c2 after w and
+            # the class constant d_ample_assumed last
             "w": report.w,
             "c2": 2 * (args.g - 1) * args.n * args.n,
             **vars(report),
+            "d_ample_assumed": report.d_ample_assumed,
             "constraints": family.equations,
             "solutions": family.solutions,
         },
@@ -499,15 +501,6 @@ _EQUIV_EPILOG = "Forms are symmetric Gram matrices m11,m12,m22."
 _FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
-class _LoneParseError(Exception):
-    """A lone subcommand parser met an error; the full parser reports it."""
-
-
-class _LoneParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _LoneParseError
-
-
 def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give `parser` the epilog and flags of subcommand `name`."""
     parser.epilog = _EQUIV_EPILOG if name == "equiv" else None
@@ -521,9 +514,11 @@ def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentP
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The full parser, or `command`'s subparser alone, which reads the
-    arguments after the name and raises `_LoneParseError` on any error."""
+    arguments after the name and reports its own usage errors."""
     if command is not None:
-        parser = _LoneParser(prog="k3mukai " + command, formatter_class=_FORMATTER)
+        parser = argparse.ArgumentParser(
+            prog="k3mukai " + command, formatter_class=_FORMATTER
+        )
         parser.set_defaults(command=command)
         return _add_flags(parser, command)
     parser = argparse.ArgumentParser(
@@ -560,15 +555,10 @@ def _join_negative_lists(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = _join_negative_lists(sys.argv[1:] if argv is None else argv)
     # the named subcommand's parser alone reads the call; no command, an
-    # unknown one, a leading flag and every error go to the full parser,
-    # which prints each usage error
-    args = None
+    # unknown one or a leading flag goes to the full parser
     if argv and argv[0] in _SUBCOMMANDS:
-        try:
-            args = build_parser(argv[0]).parse_args(argv[1:])
-        except _LoneParseError:
-            pass
-    if args is None:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
         args = build_parser().parse_args(argv)
     try:
         # looked up when called, so a wrapper set on this module's cmd_* is the one run

@@ -34,7 +34,6 @@ from .quadforms import isotropic_lines
 from .mukai import (
     MukaiVector,
     NSGram,
-    Polarization,
     fineness_gcd,
     is_primitive,
     pairing,
@@ -63,17 +62,18 @@ __all__ = [
 class DualSurfaceReport(Value):
     """Bundle of dual-surface numerics for one (g, n).
 
-    `d_ample_assumed` records a geometric input, not a computation: the
-    genus-g curve class is ample because the dual surface has Picard
-    number one.  No lattice-level test exists for it here.
+    The constant `d_ample_assumed` records a geometric input, not a
+    computation: the genus-g curve class is ample because the dual surface
+    has Picard number one.  No lattice-level test exists for it here.
     """
 
+    d_ample_assumed = True
+
     def __init__(self, w: MukaiVector, d_square: int, gerbe_order: int, base_dim: int,
-                 fine: bool, polarization_dual: int, d_ample_assumed: bool = True):
+                 fine: bool, polarization_dual: int):
         Value.__init__(self, w=w, d_square=d_square, gerbe_order=gerbe_order,
                        base_dim=base_dim, fine=fine,
-                       polarization_dual=polarization_dual,
-                       d_ample_assumed=d_ample_assumed)
+                       polarization_dual=polarization_dual)
 
 
 class QuotientClass(Value):
@@ -123,7 +123,7 @@ def build_dual(g: int, n: int) -> DualSurfaceReport:
         raise ValueError("build_dual requires g >= 2 and n >= 2")
     gram, _, table = _transform_data(g, n, _member(n, 0, 0))
     (w, w_image), (_, v_image), _ = table
-    gerbe = fineness_gcd(w, Polarization((1,)), gram)
+    gerbe = fineness_gcd(w, gram)
     quotient = quotient_lattice(w, gram)
     return DualSurfaceReport(
         w=w,
@@ -295,7 +295,7 @@ def general_fibration_criterion(
         if w.r == 0:
             hits.append(FibrationHit(w, "elliptic"))
         else:
-            gerbe = fineness_gcd(w, Polarization((1,)), gram)
+            gerbe = fineness_gcd(w, gram)
             hits.append(FibrationHit(w, "dual-surface", d_square=sq, gerbe_order=gerbe))
     hits.sort(key=lambda hit: hit.w.components())
     return CriterionReport(v=v, genus=sq // 2 + 1, hits=tuple(hits))

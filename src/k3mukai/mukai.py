@@ -26,7 +26,6 @@ from .value import Value
 __all__ = [
     "NSGram",
     "MukaiVector",
-    "Polarization",
     "pairing",
     "square",
     "dual",
@@ -153,13 +152,6 @@ class MukaiVector(Value):
         return f"({self.r}, {middle}, {self.s})"
 
 
-class Polarization(Value):
-    """NS coordinates of the ample class used to measure degrees."""
-
-    def __init__(self, h: tuple[int, ...]):
-        Value.__init__(self, h=tuple(map(index, h)))
-
-
 def pairing(v: MukaiVector, u: MukaiVector, gram: NSGram) -> int:
     """Mukai pairing <v, u> = c.G.c' - r*s' - r'*s."""
     return gram.dot(v.c, u.c) - v.r * u.s - u.r * v.s
@@ -188,12 +180,13 @@ def is_primitive(v: MukaiVector) -> bool:
     return gcd(*v.components()) == 1
 
 
-def fineness_gcd(v: MukaiVector, h: Polarization, gram: NSGram) -> int:
+def fineness_gcd(v: MukaiVector, gram: NSGram) -> int:
     """gcd(rank, degree, chi-component); 1 means a fine moduli space.
 
-    When the gcd exceeds one it is the order of the gerbe obstructing a
-    universal sheaf.
+    The degree c.C is measured against the generator C of a rank-one
+    `gram`.  When the gcd exceeds one it is the order of the gerbe
+    obstructing a universal sheaf.
     """
     if v.is_zero():
         raise ValueError("fineness gcd is undefined for the zero vector")
-    return gcd(v.r, gram.dot(v.c, h.h), v.s)
+    return gcd(v.r, gram.dot(v.c, (1,)), v.s)

@@ -121,6 +121,7 @@ class TestDual:
         assert outputs["gerbe_order"] == 2
         assert outputs["base_dim"] == 2
         assert outputs["fine"] is False
+        assert outputs["d_ample_assumed"] is True
         solutions = outputs["solutions"]
         assert all(sol["de"] == 1 - 2 * sol["k"] for sol in solutions)
         assert all(sol["e2"] == 4 * sol["l"] for sol in solutions)
@@ -536,13 +537,18 @@ def option_signature(parser):
     ]
 
 
+def subparsers_action() -> argparse._SubParsersAction:
+    """The full parser's subcommand action; its `choices` hold the subparsers."""
+    (action,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action
+
+
 class TestParser:
     @pytest.mark.parametrize("name", list(_SUBCOMMANDS))
     def test_lone_parser_equals_full_subparser(self, name):
-        (action,) = [
-            a for a in build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        ]
+        action = subparsers_action()
         full, lone = action.choices[name], build_parser(name)
         assert lone.format_help() == full.format_help()
         assert option_signature(lone) == option_signature(full)
@@ -589,9 +595,10 @@ class TestParser:
             ["--help"],
             ["equiv", "--help"],
             PARSER_CASES["trailing_argument"][0],
+            PARSER_CASES["unknown_command"][0],
             TRANSCRIPTS["pair.txt"],
         ],
-        ids=["help", "equiv_help", "usage_error", "pair"],
+        ids=["help", "equiv_help", "usage_error", "full_usage_error", "pair"],
     )
     def test_main_never_reads_terminal_width(self, monkeypatch, argv):
         # help and usage wrap at a fixed width, so output cannot follow the terminal
@@ -748,16 +755,20 @@ def run_main(argv):
 
 
 @contextlib.contextmanager
-def full_parser_only():
-    """Send every call of `main` to the full parser, as if no lone parser existed."""
+def full_subparser_only():
+    """Hand `main` the full parser's own subparser for a named subcommand,
+    the one the full parser dispatches to, in place of `build_parser(name)`."""
     original = k3mukai.cli.build_parser
 
-    def full_only(command=None):
-        if command is not None:
-            raise k3mukai.cli._LoneParseError
-        return original()
+    def full_subparser(command=None):
+        if command is None:
+            return original()
+        parser = subparsers_action().choices[command]
+        # the full parser sets `command` from the name it dispatched on
+        parser.set_defaults(command=command)
+        return parser
 
-    k3mukai.cli.build_parser = full_only
+    k3mukai.cli.build_parser = full_subparser
     try:
         yield
     finally:
@@ -766,42 +777,44 @@ def full_parser_only():
 
 def assert_lone_path_matches_full(argv):
     lone = run_main(argv)
-    with full_parser_only():
+    with full_subparser_only():
         assert run_main(argv) == lone
 
 
 # spellings the fuzz does not draw: abbreviations, "--", repeats, help mid-call
-PARSER_EDGE_ARGV = [
-    ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c", "8"],
-    ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "8", "--js"],
-    ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "8", "--json=1"],
-    ["pair", "--", "--v", "1,0,1"],
-    ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "8", "--", "x"],
-    ["square", "--v", "1,0,1", "--v", "2,0,1", "--c2", "8"],
-    ["square", "--v", "1,0,1", "--c2", "8", "-h"],
-    ["square", "--v", "1,0,1", "--c2", "8", "--he"],
-    ["census", "--g-max", "3", "--n-max", "3", "--jobs"],  # a removed flag, no value
-    ["equiv", "--g", "2", "--n", "2", "--d", "2", "--proper", "--proper"],
-    ["verify-paper", "--g", "2", "--n"],
-    ["verify-paper", "verify-paper"],
-    ["dual", "-g", "2"],
-]
+PARSER_EDGE_ARGV = {
+    "abbreviated_flag": ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c", "8"],
+    "abbreviated_json": ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "8", "--js"],
+    "json_with_value": ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "8", "--json=1"],
+    "double_dash_first": ["pair", "--", "--v", "1,0,1"],
+    "double_dash_last": ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "8", "--", "x"],
+    "repeated_flag": ["square", "--v", "1,0,1", "--v", "2,0,1", "--c2", "8"],
+    "short_help_last": ["square", "--v", "1,0,1", "--c2", "8", "-h"],
+    "abbreviated_help_last": ["square", "--v", "1,0,1", "--c2", "8", "--he"],
+    # a removed flag, with no value
+    "census_jobs_bare": ["census", "--g-max", "3", "--n-max", "3", "--jobs"],
+    "repeated_switch": ["equiv", "--g", "2", "--n", "2", "--d", "2", "--proper", "--proper"],
+    "flag_without_value": ["verify-paper", "--g", "2", "--n"],
+    "repeated_command": ["verify-paper", "verify-paper"],
+    "single_dash_flag": ["dual", "-g", "2"],
+}
+
+# every pinned or edge call by a stable id: the golden's name for transcripts
+# and parser cases, so adding a case renames no other
+PARSE_CALLS = {
+    **TRANSCRIPTS,
+    **{name: argv for name, (argv, _) in PARSER_CASES.items()},
+    **PARSER_EDGE_ARGV,
+}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        *TRANSCRIPTS.values(),
-        *(argv for argv, _ in PARSER_CASES.values()),
-        *PARSER_EDGE_ARGV,
-    ],
-)
-def test_lone_path_matches_full_parser(argv):
-    assert_lone_path_matches_full(argv)
+@pytest.mark.parametrize("name", PARSE_CALLS)
+def test_lone_path_matches_full_parser(name):
+    assert_lone_path_matches_full(PARSE_CALLS[name])
 
 
-@pytest.mark.parametrize("argv", TRANSCRIPTS.values())
-def test_well_formed_call_builds_only_its_subcommand_parser(capsys, monkeypatch, argv):
+def recorded_builds(monkeypatch):
+    """Record the `command` of every `build_parser` call `main` makes."""
     built = []
     original = k3mukai.cli.build_parser
 
@@ -810,8 +823,29 @@ def test_well_formed_call_builds_only_its_subcommand_parser(capsys, monkeypatch,
         return original(command)
 
     monkeypatch.setattr(k3mukai.cli, "build_parser", recording)
+    return built
+
+
+@pytest.mark.parametrize("argv", TRANSCRIPTS.values())
+def test_well_formed_call_builds_only_its_subcommand_parser(capsys, monkeypatch, argv):
+    built = recorded_builds(monkeypatch)
     assert main(list(argv)) == 0
     assert built == [argv[0]]
+
+
+# the transcripts are covered above; these are the parser and edge calls
+PARSER_AND_EDGE_CALLS = {
+    name: argv for name, argv in PARSE_CALLS.items() if name not in TRANSCRIPTS
+}
+
+
+@pytest.mark.parametrize("name", PARSER_AND_EDGE_CALLS)
+def test_main_builds_one_parser_per_call(monkeypatch, name):
+    argv = PARSER_AND_EDGE_CALLS[name]
+    built = recorded_builds(monkeypatch)
+    run_main(argv)
+    # usage errors included: the parser that meets one reports it
+    assert built == [argv[0] if argv and argv[0] in _SUBCOMMANDS else None]
 
 
 @settings(max_examples=1000, deadline=None)

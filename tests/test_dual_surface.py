@@ -27,7 +27,6 @@ from k3mukai.dual_surface import (
 from k3mukai.mukai import (
     MukaiVector,
     NSGram,
-    Polarization,
     fineness_gcd,
     is_primitive,
     pairing,
@@ -459,7 +458,7 @@ def cube_scan(v, c2, bound):
                             w=w,
                             branch="dual-surface",
                             d_square=sq,
-                            gerbe_order=fineness_gcd(w, Polarization((1,)), gram),
+                            gerbe_order=fineness_gcd(w, gram),
                         )
                     )
     return hits

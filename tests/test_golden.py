@@ -79,7 +79,7 @@ PARSER_CASES = {
     },
     "no_command": ([], 2),
     "unknown_command": (["bogus"], 2),
-    # a trailing argument is reported with the top-level usage line
+    # the subcommand's own parser reports a trailing argument, under its usage line
     "trailing_argument": (_PAIR + ["--c2", "2", "--bogus"], 2),
     "bad_integer": (_PAIR + ["--c2", "x"], 2),
     "missing_u": (["pair", "--v", "1,0,1", "--c2", "2"], 2),

@@ -11,7 +11,6 @@ from k3mukai.mukai import (
     GRAM_CACHE_SIZE,
     MukaiVector,
     NSGram,
-    Polarization,
     dual,
     euler_characteristic,
     fineness_gcd,
@@ -21,7 +20,6 @@ from k3mukai.mukai import (
 )
 
 G8 = NSGram.rank_one(8)
-C = Polarization((1,))
 
 
 def vec(r, c, s):
@@ -138,20 +136,20 @@ class TestIsPrimitive:
 
 class TestFinenessGcd:
     def test_motivating_example_not_fine(self):
-        assert fineness_gcd(vec(2, 1, 2), C, G8) == 2
+        assert fineness_gcd(vec(2, 1, 2), G8) == 2
 
     @pytest.mark.parametrize("g", range(2, 8))
     @pytest.mark.parametrize("n", range(2, 8))
     def test_gerbe_order_is_n(self, g, n):
         gram = NSGram.rank_one(2 * (g - 1) * n * n)
-        assert fineness_gcd(vec(n, 1, (g - 1) * n), C, gram) == n
+        assert fineness_gcd(vec(n, 1, (g - 1) * n), gram) == n
 
     def test_hilbert_scheme_fine(self):
-        assert fineness_gcd(vec(1, 0, -3), C, G8) == 1
+        assert fineness_gcd(vec(1, 0, -3), G8) == 1
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            fineness_gcd(vec(0, 0, 0), C, G8)
+            fineness_gcd(vec(0, 0, 0), G8)
 
 
 class Integer:
@@ -186,16 +184,11 @@ class TestIntegerEntries:
         with pytest.raises(TypeError):
             NSGram.rank_one(8.0)
 
-    def test_polarization_rejects_non_integers(self):
-        with pytest.raises(TypeError):
-            Polarization((1.5,))
-
     def test_integer_types_become_int(self):
         v = MukaiVector(Integer(7), (True, Integer(-3)), Integer(2))
         assert v.components() == (7, 1, -3, 2)
         assert all(type(x) is int for x in v.components())
         assert NSGram(((Integer(8),),)) == G8
-        assert Polarization((Integer(7), False)).h == (7, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from k3mukai import (
     MukaiVector,
     NSGram,
     PicardSchemeForm,
-    Polarization,
     QuadForm2,
     QuotientClass,
     TransformConstraintFamily,
@@ -30,7 +29,6 @@ SOLUTION = ConstraintSolution(k=0, l=0, de=1, e2=0)
 SAMPLES = {
     NSGram: lambda: NSGram(((2, 1), (1, 0))),
     MukaiVector: lambda: MukaiVector(1, (2,), 3),
-    Polarization: lambda: Polarization((1,)),
     QuadForm2: lambda: QuadForm2(1, 2, 3),
     PicardSchemeForm: lambda: PicardSchemeForm(QuadForm2(0, -2, 2), 2, 1, 1),
     EquivalenceResult: lambda: EquivalenceResult(
