@@ -496,8 +496,8 @@ _SUBCOMMANDS = {
     )),
 }
 _EQUIV_EPILOG = "Forms are symmetric Gram matrices m11,m12,m22."
-# help and usage wrap at 78 columns, as argparse wraps them on an
-# 80-column terminal, whatever the terminal or COLUMNS says
+# the top-level usage line is the CLI's own text; the rest is argparse's, wrapped
+# at 78 columns as on an 80-column terminal, whatever the terminal or COLUMNS says
 _FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
@@ -521,12 +521,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         )
         parser.set_defaults(command=command)
         return _add_flags(parser, command)
+    # 3.10-3.12's usage layout, which 3.13 would change; add_subparsers then needs prog
+    indent = "\n" + " " * len("usage: k3mukai ")
     parser = argparse.ArgumentParser(
         prog="k3mukai",
+        usage=indent.join(("%(prog)s [-h]", "{" + ",".join(_SUBCOMMANDS) + "}", "...")),
         description="Exact Mukai-lattice arithmetic for K3 surfaces",
         formatter_class=_FORMATTER,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="k3mukai")
     for name, (help_line, _) in _SUBCOMMANDS.items():
         _add_flags(sub.add_parser(name, help=help_line, formatter_class=_FORMATTER), name)
     return parser

@@ -826,8 +826,9 @@ def recorded_builds(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("argv", TRANSCRIPTS.values())
-def test_well_formed_call_builds_only_its_subcommand_parser(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("name", TRANSCRIPTS)
+def test_well_formed_call_builds_only_its_subcommand_parser(capsys, monkeypatch, name):
+    argv = TRANSCRIPTS[name]
     built = recorded_builds(monkeypatch)
     assert main(list(argv)) == 0
     assert built == [argv[0]]

@@ -4,10 +4,11 @@ The files under tests/golden/ and the digests below hold the CLI's output,
 so any change in what it prints shows up here.  A deliberate output change
 regenerates the file and says why in CHANGES.md.
 
-The parser goldens under tests/golden/parser/ pin argparse's own output:
-help text and usage errors, with the exit code.  The CLI wraps that text at
-a fixed 78 columns, so it is the same whatever the terminal width or
-COLUMNS says.
+The parser goldens under tests/golden/parser/ pin the parser's output:
+help text and usage errors, with the exit code.  The top-level usage line is
+the CLI's own text; the rest is argparse's, wrapped at a fixed 78 columns.
+So the output is the same whatever the terminal width or COLUMNS says, and
+on every supported Python.
 """
 
 import hashlib
@@ -85,6 +86,9 @@ PARSER_CASES = {
     "missing_u": (["pair", "--v", "1,0,1", "--c2", "2"], 2),
     # --json belongs to the subcommands, not to the top level
     "json_before_command": (["--json"] + _PAIR + ["--c2", "2"], 2),
+    # the full parser hands the rest to its subparser, which prints its own help
+    # under its own prog, the same text as help_pair
+    "json_before_command_help": (["--json", "pair", "--help"], 0),
     # census has no --jobs: the flag is refused like any other unknown one
     "census_jobs": (["census", "--jobs", "4"], 2),
 }
@@ -166,6 +170,16 @@ def test_parser_output_matches(capsys, name):
     )
     assert exc.value.code == expected_code
     assert (shown, silent) == (expected, "")
+
+
+def test_every_golden_has_its_case():
+    # a golden whose case is deleted would otherwise stay on disk unchecked
+    def names(folder):
+        return sorted(path.name for path in folder.iterdir() if path.is_file())
+
+    assert names(GOLDEN) == sorted(TRANSCRIPTS)
+    assert names(GOLDEN / "parser") == sorted(f"{name}.txt" for name in PARSER_CASES)
+    assert names(GOLDEN / "errors") == sorted(f"{name}.txt" for name in ERROR_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(ERROR_CASES))
