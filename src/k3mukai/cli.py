@@ -62,6 +62,9 @@ CENSUS_GRID_MAX = 100
 # Largest -det of `equiv` forms sharing a negative non-square determinant: their
 # cycle of reduced forms grows like sqrt(-det), to about 4,300 forms and 20 ms.
 EQUIV_DET_MAX = 10**6
+# Least value of each integer flag, by argparse dest, in every subcommand that
+# takes it; `main` checks them in this order before the handler runs.
+_MINIMUMS = {"g": 2, "n": 2, "g_max": 2, "n_max": 2, "bound": 1, "d": 0}
 
 
 def _format_value(value) -> str:
@@ -297,11 +300,6 @@ def _parse_vector(text: str) -> MukaiVector:
     return MukaiVector(r, (c,), s)
 
 
-def _require_at_least(value: int, minimum: int, flag: str) -> None:
-    if value < minimum:
-        raise ValueError(f"{flag} must be at least {minimum}")
-
-
 def cmd_pair(args) -> list[dict]:
     v, u = _parse_vector(args.v), _parse_vector(args.u)
     gram = NSGram.rank_one(args.c2)
@@ -323,8 +321,6 @@ def cmd_square(args) -> list[dict]:
 
 
 def cmd_isotropic(args) -> list[dict]:
-    _require_at_least(args.g, 2, "--g")
-    _require_at_least(args.bound, 1, "--bound")
     lat = BBLattice(args.c2, args.g)
     result = find_isotropic(lat, args.bound)
     return [{
@@ -338,8 +334,6 @@ def cmd_isotropic(args) -> list[dict]:
 
 
 def cmd_dual(args) -> list[dict]:
-    _require_at_least(args.g, 2, "--g")
-    _require_at_least(args.n, 2, "--n")
     if args.k_max - args.k_min > DUAL_K_SPAN_MAX:
         raise ValueError(f"--k-max - --k-min must be at most {DUAL_K_SPAN_MAX}")
     report = build_dual(args.g, args.n)
@@ -361,7 +355,6 @@ def cmd_dual(args) -> list[dict]:
 
 
 def cmd_criterion(args) -> list[dict]:
-    _require_at_least(args.bound, 1, "--bound")
     if args.v is not None:
         if args.g is not None or args.n is not None:
             raise ValueError("--v cannot be combined with --g or --n")
@@ -371,12 +364,10 @@ def cmd_criterion(args) -> list[dict]:
     elif args.g is not None:
         if args.c2 is not None and args.n is not None:
             raise ValueError("--g takes --n or --c2, not both")
-        _require_at_least(args.g, 2, "--g")
         v = MukaiVector(1, (0,), 1 - args.g)
         if args.c2 is not None:
             c2 = args.c2
         elif args.n is not None:
-            _require_at_least(args.n, 2, "--n")
             c2 = 2 * (args.g - 1) * args.n * args.n
         else:
             raise ValueError("--g needs either --n or --c2 to fix the lattice")
@@ -391,7 +382,6 @@ def cmd_criterion(args) -> list[dict]:
 
 
 def cmd_equiv(args) -> list[dict]:
-    _require_at_least(args.bound, 1, "--bound")
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
             raise ValueError("--f1 and --f2 must be given together")
@@ -403,10 +393,6 @@ def cmd_equiv(args) -> list[dict]:
     else:
         if args.g is None or args.n is None or args.d is None:
             raise ValueError("equiv needs --f1/--f2 or all of --g, --n, --d")
-        _require_at_least(args.g, 2, "--g")
-        _require_at_least(args.n, 2, "--n")
-        if args.d < 0:
-            raise ValueError("--d must be non-negative")
         f1 = BBLattice(2 * (args.g - 1) * args.n * args.n, args.g).form
         f2 = picard_scheme_form(args.g, args.d).form
         inputs = {"g": args.g, "n": args.n, "d": args.d, "bound": args.bound}
@@ -425,20 +411,14 @@ def cmd_equiv(args) -> list[dict]:
 
 
 def cmd_verify_paper(args) -> list[dict]:
-    if args.g is not None:
-        _require_at_least(args.g, 2, "--g")
-        if args.g > CENSUS_GRID_MAX:
-            raise ValueError(f"--g must be at most {CENSUS_GRID_MAX}")
-    if args.n is not None:
-        _require_at_least(args.n, 2, "--n")
+    if args.g is not None and args.g > CENSUS_GRID_MAX:
+        raise ValueError(f"--g must be at most {CENSUS_GRID_MAX}")
     g_values = [args.g] if args.g is not None else range(2, 11)
     n_values = [args.n] if args.n is not None else range(2, 11)
     return ledger_checks(g_values, n_values)
 
 
 def cmd_census(args) -> list[dict]:
-    _require_at_least(args.g_max, 2, "--g-max")
-    _require_at_least(args.n_max, 2, "--n-max")
     if max(args.g_max, args.n_max) > CENSUS_GRID_MAX:
         raise ValueError(f"--g-max and --n-max must be at most {CENSUS_GRID_MAX}")
     return census_records(args.g_max, args.n_max)
@@ -564,6 +544,12 @@ def main(argv=None) -> int:
     else:
         args = build_parser().parse_args(argv)
     try:
+        # None: the subcommand has no such flag, or the call leaves it out
+        for dest, minimum in _MINIMUMS.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < minimum:
+                flag = dest.replace("_", "-")
+                raise ValueError(f"--{flag} must be at least {minimum}")
         # looked up when called, so a wrapper set on this module's cmd_* is the one run
         records = globals()["cmd_" + args.command.replace("-", "_")](args)
         # render all output first: an int past str()'s digit limit raises ValueError

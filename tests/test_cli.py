@@ -729,15 +729,23 @@ def fuzz_argv(draw):
 @settings(max_examples=400, deadline=None)
 @given(fuzz_argv())
 def test_fuzzed_argv_exits_cleanly(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             # argparse's own exit: --help or a usage error
             assert exc.code in (0, 2)
             return
-    assert code in (0, 1, 2)
+    # a refused input prints one `error:` line and nothing else; a run prints
+    # nothing to stderr
+    if code == 2:
+        text = err.getvalue()
+        assert out.getvalue() == ""
+        assert text.startswith("error: ") and text.endswith("\n") and text.count("\n") == 1
+        return
+    assert code in (0, 1)
+    assert err.getvalue() == ""
     if "--json" in argv:
         for line in out.getvalue().splitlines():
             json.loads(line)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from k3mukai.cli import main
+from k3mukai.cli import _MINIMUMS, _SUBCOMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,9 +94,27 @@ PARSER_CASES = {
 }
 
 # name -> argv that parses but is refused: `main` returns 2 and prints one
-# `error:` line to stderr, from a ValueError raised by a handler or the library
+# `error:` line to stderr, from a ValueError raised by `main`, a handler or the
+# library
 ERROR_CASES = {
+    # one case per bounded flag of each subcommand, named <subcommand>_<dest>_below_min
+    "isotropic_g_below_min": ["isotropic", "--c2", "8", "--g", "1"],
+    "isotropic_bound_below_min": ["isotropic", "--c2", "8", "--g", "2", "--bound", "0"],
     "dual_g_below_min": ["dual", "--g", "1", "--n", "2"],
+    "dual_n_below_min": ["dual", "--g", "2", "--n", "1"],
+    "criterion_g_below_min": ["criterion", "--g", "1", "--n", "2"],
+    "criterion_n_below_min": ["criterion", "--g", "2", "--n", "1"],
+    "criterion_bound_below_min": ["criterion", "--g", "2", "--n", "2", "--bound", "0"],
+    "equiv_g_below_min": ["equiv", "--g", "1", "--n", "2", "--d", "0"],
+    "equiv_n_below_min": ["equiv", "--g", "2", "--n", "1", "--d", "0"],
+    "equiv_d_below_min": ["equiv", "--g", "2", "--n", "2", "--d", "-1"],
+    "equiv_bound_below_min": ["equiv", "--g", "2", "--n", "2", "--d", "0", "--bound", "0"],
+    "verify_paper_g_below_min": ["verify-paper", "--g", "1"],
+    "verify_paper_n_below_min": ["verify-paper", "--n", "1"],
+    "census_g_max_below_min": ["census", "--g-max", "1"],
+    "census_n_max_below_min": ["census", "--n-max", "1"],
+    # a lower bound is checked before any other rule, so it is the one named
+    "criterion_v_with_n_below_min": ["criterion", "--v=1,0,-1", "--c2", "8", "--n", "1"],
     "dual_empty_k_range": ["dual", "--g", "2", "--n", "2", "--k-min", "3", "--k-max", "1"],
     "isotropic_odd_c2": ["isotropic", "--c2", "7", "--g", "2"],
     "criterion_nonpositive_square": ["criterion", "--v", "1,0,1", "--c2", "8"],
@@ -188,6 +206,15 @@ def test_error_output_matches(capsys, name):
     captured = capsys.readouterr()
     expected = (GOLDEN / "errors" / f"{name}.txt").read_text()
     assert (code, captured.out, captured.err) == (2, "", expected)
+
+
+def test_every_lower_bound_has_its_error_case():
+    # a bounded flag added to a subcommand cannot ship without a pinned message
+    for name, (_, flags) in _SUBCOMMANDS.items():
+        for flag, _ in flags:
+            dest = flag.lstrip("-").replace("-", "_")
+            if dest in _MINIMUMS:
+                assert f"{name.replace('-', '_')}_{dest}_below_min" in ERROR_CASES
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
