@@ -26,7 +26,6 @@ __all__ = [
     "find_isotropic",
     "fujiki_degree",
     "perp_basis",
-    "vperp_gram",
 ]
 
 
@@ -124,9 +123,3 @@ def perp_basis(v: MukaiVector, gram: NSGram) -> tuple[MukaiVector, MukaiVector]:
 def _basis_form(b1: MukaiVector, b2: MukaiVector, gram: NSGram) -> QuadForm2:
     """Gram matrix of the Mukai pairing in the basis (b1, b2)."""
     return QuadForm2(pairing(b1, b1, gram), pairing(b1, b2, gram), pairing(b2, b2, gram))
-
-
-def vperp_gram(v: MukaiVector, gram: NSGram) -> QuadForm2:
-    """Gram matrix of v-perp inside the rank-three algebraic Mukai lattice,
-    in the basis `perp_basis` returns."""
-    return _basis_form(*perp_basis(v, gram), gram)

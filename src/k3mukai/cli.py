@@ -137,15 +137,13 @@ def _point_checks(g: int, n: int):
     yield "extension_square", {}, *_equal(*extension_square(n, g))
 
     for length in range(0, 3):
-        # independent route: scan N upward; empty means no N >= 1 is allowed
-        expected_bound = max(
-            (big_n for big_n in range(1, 3 * g + 2)
-             if -2 * big_n - 2 * big_n * n * length + 2 * (g - 1) >= -2),
-            default=0,
-        )
+        expected_bound = 0  # raw route: the largest N whose square is >= -2
         for big_n in range(1, 2 * g + 1):
+            computed, claimed = kernel_square(big_n, n, g, length)
+            if computed >= -2:
+                expected_bound = big_n
             yield "kernel_square", {"N": big_n, "length": length}, *_equal(
-                *kernel_square(big_n, n, g, length)
+                computed, claimed
             )
         yield "kernel_square_bound", {"length": length}, *_equal(
             kernel_square_bound(n, g, length), expected_bound
@@ -476,43 +474,51 @@ _SUBCOMMANDS = {
     )),
 }
 _EQUIV_EPILOG = "Forms are symmetric Gram matrices m11,m12,m22."
-# the top-level usage line is the CLI's own text; the rest is argparse's, wrapped
-# at 78 columns as on an 80-column terminal, whatever the terminal or COLUMNS says
+# argparse's help and usage errors wrap at 78 columns as on an 80-column
+# terminal, whatever the terminal or COLUMNS says
 _FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
-def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give `parser` the epilog and flags of subcommand `name`."""
-    parser.epilog = _EQUIV_EPILOG if name == "equiv" else None
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """Subcommand `command`'s parser, which reads the arguments after the
+    name and reports its own usage errors."""
+    parser = argparse.ArgumentParser(
+        prog="k3mukai " + command,
+        epilog=_EQUIV_EPILOG if command == "equiv" else None,
+        formatter_class=_FORMATTER,
+    )
+    parser.set_defaults(command=command)
     parser.add_argument(
         "--json", action="store_true", help="emit newline-delimited JSON records"
     )
-    for flag, keywords in _SUBCOMMANDS[name][1]:
+    for flag, keywords in _SUBCOMMANDS[command][1]:
         parser.add_argument(flag, **keywords)
     return parser
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or `command`'s subparser alone, which reads the
-    arguments after the name and reports its own usage errors."""
-    if command is not None:
-        parser = argparse.ArgumentParser(
-            prog="k3mukai " + command, formatter_class=_FORMATTER
+def _answer_top_level(argv: list[str]) -> None:
+    """Raise SystemExit for a call that does not start with a subcommand: help
+    (exit 0) for `-h` or `--help` first, else a usage error (exit 2), both in
+    argparse's layout."""
+    choices = "{" + ",".join(_SUBCOMMANDS) + "}"
+    usage = f"usage: k3mukai [-h]\n{' ' * 15}{choices}\n{' ' * 15}...\n"
+    if argv and argv[0] in ("-h", "--help"):
+        rows = "".join(f"    {name:<20}{spec[0]}\n" for name, spec in _SUBCOMMANDS.items())
+        sys.stdout.write(
+            f"{usage}\nExact Mukai-lattice arithmetic for K3 surfaces\n\n"
+            f"positional arguments:\n  {choices}\n{rows}\noptions:\n"
+            "  -h, --help            show this help message and exit\n"
         )
-        parser.set_defaults(command=command)
-        return _add_flags(parser, command)
-    # 3.10-3.12's usage layout, which 3.13 would change; add_subparsers then needs prog
-    indent = "\n" + " " * len("usage: k3mukai ")
-    parser = argparse.ArgumentParser(
-        prog="k3mukai",
-        usage=indent.join(("%(prog)s [-h]", "{" + ",".join(_SUBCOMMANDS) + "}", "...")),
-        description="Exact Mukai-lattice arithmetic for K3 surfaces",
-        formatter_class=_FORMATTER,
-    )
-    sub = parser.add_subparsers(dest="command", required=True, prog="k3mukai")
-    for name, (help_line, _) in _SUBCOMMANDS.items():
-        _add_flags(sub.add_parser(name, help=help_line, formatter_class=_FORMATTER), name)
-    return parser
+        raise SystemExit(0)
+    if not argv:
+        reason = "the following arguments are required: command"
+    elif argv[0].startswith("-"):
+        reason = f"unrecognized arguments: {argv[0]}"
+    else:
+        names = ", ".join(map(repr, _SUBCOMMANDS))
+        reason = f"argument command: invalid choice: {argv[0]!r} (choose from {names})"
+    sys.stderr.write(f"{usage}k3mukai: error: {reason}\n")
+    raise SystemExit(2)
 
 
 _LIST_FLAGS = frozenset({"--v", "--u", "--f1", "--f2"})
@@ -537,12 +543,10 @@ def _join_negative_lists(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _join_negative_lists(sys.argv[1:] if argv is None else argv)
-    # the named subcommand's parser alone reads the call; no command, an
-    # unknown one or a leading flag goes to the full parser
-    if argv and argv[0] in _SUBCOMMANDS:
-        args = build_parser(argv[0]).parse_args(argv[1:])
-    else:
-        args = build_parser().parse_args(argv)
+    # the named subcommand's parser alone reads the call
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        _answer_top_level(argv)
+    args = build_parser(argv[0]).parse_args(argv[1:])
     try:
         # None: the subcommand has no such flag, or the call leaves it out
         for dest, minimum in _MINIMUMS.items():

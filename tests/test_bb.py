@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from k3mukai.bb import (
     BBClass,
     BBLattice,
+    _basis_form,
     find_isotropic,
     fujiki_degree,
     isotropic_exists,
     perp_basis,
-    vperp_gram,
 )
 from k3mukai.mukai import MukaiVector, NSGram, pairing
 from k3mukai.quadforms import QuadForm2
@@ -220,33 +220,33 @@ def solve_in_basis(u, basis):
 class TestVperpGram:
     def test_hilbert_vector_gives_bb_gram(self):
         # the complement of (1, 0, 1-g) is the divisor lattice of Hilb^g
-        gram = NSGram.rank_one(8)
-        assert vperp_gram(MukaiVector(1, (0,), -1), gram) == QuadForm2(8, 0, -2)
+        v, gram = MukaiVector(1, (0,), -1), NSGram.rank_one(8)
+        assert _basis_form(*perp_basis(v, gram), gram) == QuadForm2(8, 0, -2)
 
     @pytest.mark.parametrize("g", range(2, 8))
     @pytest.mark.parametrize("n", range(2, 8))
     def test_family_matches_bb_lattice(self, g, n):
         c2 = 2 * (g - 1) * n * n
-        gram = NSGram.rank_one(c2)
-        result = vperp_gram(MukaiVector(1, (0,), 1 - g), gram)
+        v, gram = MukaiVector(1, (0,), 1 - g), NSGram.rank_one(c2)
+        result = _basis_form(*perp_basis(v, gram), gram)
         assert result == QuadForm2(c2, 0, -2 * (g - 1))
         det = result.m11 * result.m22 - result.m12 * result.m12
         assert det == BBLattice(c2, g).form.determinant()
 
     def test_point_class(self):
         # frozen from the direct kernel computation: {r = 0} with basis (C, point)
-        gram = NSGram.rank_one(8)
-        assert vperp_gram(MukaiVector(0, (0,), 1), gram) == QuadForm2(8, 0, 0)
+        v, gram = MukaiVector(0, (0,), 1), NSGram.rank_one(8)
+        assert _basis_form(*perp_basis(v, gram), gram) == QuadForm2(8, 0, 0)
 
     def test_point_class_gram_up_to_basis_swap(self):
-        gram = NSGram.rank_one(8)
-        form = vperp_gram(MukaiVector(0, (0,), 1), gram)
+        v, gram = MukaiVector(0, (0,), 1), NSGram.rank_one(8)
+        form = _basis_form(*perp_basis(v, gram), gram)
         # swapping the basis gives the other diagonal presentation
         assert QuadForm2(form.m22, form.m12, form.m11) == QuadForm2(0, 0, 8)
 
     def test_rejects_imprimitive(self):
         with pytest.raises(ValueError):
-            vperp_gram(MukaiVector(2, (0,), 2), NSGram.rank_one(8))
+            perp_basis(MukaiVector(2, (0,), 2), NSGram.rank_one(8))
 
     def test_basis_is_orthogonal_to_v_and_spans(self):
         gram = NSGram.rank_one(12)
@@ -272,7 +272,8 @@ class TestVperpGram:
                         assert alpha.denominator == 1 and beta.denominator == 1
 
     def test_gl2_class_stable_under_basis_change(self):
-        form = vperp_gram(MukaiVector(1, (0,), -1), NSGram.rank_one(8))
+        v, gram = MukaiVector(1, (0,), -1), NSGram.rank_one(8)
+        form = _basis_form(*perp_basis(v, gram), gram)
         a, b, d = form.m11, form.m12, form.m22
         # add the second basis vector to the first: congruent, same determinant
         changed = QuadForm2(a + 2 * b + d, b + d, d)

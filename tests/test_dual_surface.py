@@ -313,10 +313,11 @@ class TestWrongFamilyReachesLedger:
         monkeypatch.setattr(k3mukai.dual_surface, "_member", PARAMETRIZATIONS[name])
         code, failing = failing_ledger_checks(capsys)
         assert code == 1
-        # only `constant` moves the (0, 0) member the kernel check reads
+        # only `constant` moves the (0, 0) member the kernel check reads, and
+        # the bound's claim is read off the kernel squares
         expected = {"transform_constraints"}
         if name == "constant":
-            expected.add("kernel_square")
+            expected |= {"kernel_square", "kernel_square_bound"}
         assert failing == expected
 
 

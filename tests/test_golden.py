@@ -5,10 +5,11 @@ so any change in what it prints shows up here.  A deliberate output change
 regenerates the file and says why in CHANGES.md.
 
 The parser goldens under tests/golden/parser/ pin the parser's output:
-help text and usage errors, with the exit code.  The top-level usage line is
-the CLI's own text; the rest is argparse's, wrapped at a fixed 78 columns.
-So the output is the same whatever the terminal width or COLUMNS says, and
-on every supported Python.
+help text and usage errors, with the exit code.  The top-level help and usage
+errors, for a call that does not start with a subcommand, are the CLI's own
+text; a subcommand's are argparse's, wrapped at a fixed 78 columns.  So the
+output is the same whatever the terminal width or COLUMNS says, and on every
+supported Python.
 """
 
 import hashlib
@@ -64,6 +65,16 @@ TRANSCRIPTS = {
     "equiv_forms.ndjson": ["equiv", "--f1", "8,0,-2", "--f2", "0,-2,2", "--json"],
     "census_10_10.txt": ["census", "--g-max", "10", "--n-max", "10"],
     "census_10_10.ndjson": ["census", "--g-max", "10", "--n-max", "10", "--json"],
+    # argparse spellings that run: a unique prefix of a flag, and a flag given
+    # twice, where the last value wins
+    "abbreviated_flag.txt": ["pair", "--v", "1,0,1", "--u", "1,0,1", "--c", "8"],
+    "abbreviated_json.ndjson": [
+        "pair", "--v", "1,0,1", "--u", "1,0,1", "--c2", "8", "--js",
+    ],
+    "repeated_flag.txt": ["square", "--v", "1,0,1", "--v", "2,0,1", "--c2", "8"],
+    "repeated_switch.txt": [
+        "equiv", "--g", "2", "--n", "2", "--d", "2", "--proper", "--proper",
+    ],
 }
 
 _PAIR = ["pair", "--v", "1,0,1", "--u", "1,0,1"]
@@ -84,13 +95,23 @@ PARSER_CASES = {
     "trailing_argument": (_PAIR + ["--c2", "2", "--bogus"], 2),
     "bad_integer": (_PAIR + ["--c2", "x"], 2),
     "missing_u": (["pair", "--v", "1,0,1", "--c2", "2"], 2),
-    # --json belongs to the subcommands, not to the top level
+    # --json belongs to the subcommands, not to the top level; a call that does
+    # not start with a subcommand is refused on its first token, so not even
+    # `--help` after it is read
     "json_before_command": (["--json"] + _PAIR + ["--c2", "2"], 2),
-    # the full parser hands the rest to its subparser, which prints its own help
-    # under its own prog, the same text as help_pair
-    "json_before_command_help": (["--json", "pair", "--help"], 0),
+    "json_before_command_help": (["--json", "pair", "--help"], 2),
     # census has no --jobs: the flag is refused like any other unknown one
     "census_jobs": (["census", "--jobs", "4"], 2),
+    "census_jobs_bare": (["census", "--g-max", "3", "--n-max", "3", "--jobs"], 2),
+    # argparse spellings a subcommand's parser refuses or answers with its help
+    "json_with_value": (_PAIR + ["--c2", "8", "--json=1"], 2),
+    "double_dash_first": (["pair", "--", "--v", "1,0,1"], 2),
+    "double_dash_last": (_PAIR + ["--c2", "8", "--", "x"], 2),
+    "short_help_last": (["square", "--v", "1,0,1", "--c2", "8", "-h"], 0),
+    "abbreviated_help_last": (["square", "--v", "1,0,1", "--c2", "8", "--he"], 0),
+    "flag_without_value": (["verify-paper", "--g", "2", "--n"], 2),
+    "repeated_command": (["verify-paper", "verify-paper"], 2),
+    "single_dash_flag": (["dual", "-g", "2"], 2),
 }
 
 # name -> argv that parses but is refused: `main` returns 2 and prints one
