@@ -29,8 +29,7 @@ from __future__ import annotations
 from math import gcd
 
 from .bb import _basis_form, perp_basis
-from .hermite import xgcd
-from .quadforms import isotropic_lines
+from .quadforms import _complete, isotropic_lines
 from .mukai import (
     MukaiVector,
     NSGram,
@@ -100,10 +99,10 @@ def quotient_lattice(w: MukaiVector, gram: NSGram) -> QuotientClass:
     alpha = w.c[0] // b1.c[0]
     beta = (w.r - alpha * b1.r) // b2.r if b2.r else (w.s - alpha * b1.s) // b2.s
     # gcd(alpha, beta) = 1, or w / gcd would be an integral vector of the
-    # saturated w-perp and w not primitive; so [[alpha, beta], [-y, x]] is
-    # unimodular, and its second row maps onto a generator of the quotient
-    _, x, y = xgcd(alpha, beta)
-    generator = (-y) * b1 + x * b2
+    # saturated w-perp and w not primitive; so (alpha, beta) completes to a
+    # determinant-1 matrix whose second column lifts a generator of the quotient
+    (_, x), (_, y) = _complete(alpha, beta)
+    generator = x * b1 + y * b2
     return QuotientClass(generator, square(generator, gram))
 
 

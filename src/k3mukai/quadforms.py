@@ -110,7 +110,7 @@ def _mul(u: Matrix, v: Matrix) -> Matrix:
 
 
 def _complete(x: int, y: int) -> Matrix:
-    """A determinant-1 matrix whose first column is the coprime pair (x, y)."""
+    """A determinant-1 matrix with first column (x, y); x and y must be coprime."""
     if y == 0:
         return ((x, 0), (0, x))
     s = pow(x, -1, abs(y))

@@ -1,6 +1,7 @@
 """The closed-form kernel of a functional on Z^3 against the general row
 Hermite reducer it replaced, and the two lattice routines built on it
-against the routes they replaced."""
+against the routes they replaced.  The oracles take their Bezout pairs from
+the extended Euclid loop below, not from the completion `src/` uses."""
 
 from itertools import product
 from math import gcd
@@ -9,8 +10,24 @@ import pytest
 
 from k3mukai.bb import perp_basis
 from k3mukai.dual_surface import quotient_lattice
-from k3mukai.hermite import kernel_of_functional, xgcd
+from k3mukai.hermite import kernel_of_functional
 from k3mukai.mukai import MukaiVector, NSGram
+from k3mukai.quadforms import _complete
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y."""
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        g, x, y = -g, -x, -y
+    return g, x, y
 
 
 def row_hermite(rows):
@@ -128,7 +145,10 @@ def test_quotient_generator_matches_minor_solver(g, n):
     w = MukaiVector(n, (1,), (g - 1) * n)
     basis = perp_basis(w, gram)
     alpha, beta = express_in_basis(w, basis)
-    g0, x, y = xgcd(alpha, beta)
-    result = quotient_lattice(w, gram)
-    assert result.generator_image == (-y) * basis[0] + x * basis[1]
-    assert g0 == 1
+    assert gcd(alpha, beta) == 1
+    (_, x), (_, y) = _complete(alpha, beta)
+    generator = quotient_lattice(w, gram).generator_image
+    assert generator == x * basis[0] + y * basis[1]
+    # w and the generator span w-perp: their coordinates have determinant +-1
+    gx, gy = express_in_basis(generator, basis)
+    assert alpha * gy - beta * gx in (1, -1)

@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import product
 from math import gcd, isqrt
 
 import pytest
@@ -12,6 +13,7 @@ from k3mukai.bb import BBLattice
 from k3mukai.mukai import MukaiVector, NSGram, pairing
 from k3mukai.quadforms import (
     QuadForm2,
+    _complete,
     canonical,
     equivalent,
     gen_picard_determinant,
@@ -393,6 +395,39 @@ class TestEquivalent:
                     elif f2 in reached:
                         misses.append((f1, f2))
             assert misses == [], (proper, misses[:5])
+
+
+class TestComplete:
+    """Canonical forms, the v-perp kernel and the w-perp/w generator all read
+    the first column and rely on the determinant being one."""
+
+    @staticmethod
+    def check(x, y):
+        u = _complete(x, y)
+        assert (u[0][0], u[1][0]) == (x, y) and det2(u) == 1, (x, y)
+
+    def test_small_coprime_pairs(self):
+        pairs = [(x, y) for x, y in product(range(-12, 13), repeat=2) if gcd(x, y) == 1]
+        for x, y in pairs:
+            self.check(x, y)
+        # zeros included: (+-1, 0) and (0, +-1)
+        assert len(pairs) == 368
+
+    def test_300_digit_pairs(self):
+        # consecutive Fibonacci numbers, Euclid's slowest case, and random pairs
+        x, y = 0, 1
+        for _ in range(1436):
+            x, y = y, x + y
+        pairs = [(x, y)]
+        rng = random.Random(300)
+        while len(pairs) < 4:
+            x, y = (rng.randrange(10**299, 10**300) for _ in range(2))
+            if gcd(x, y) == 1:
+                pairs.append((x, y))
+        for x, y in pairs:
+            assert len(str(x)) == len(str(y)) == 300
+            for sx, sy in product((1, -1), repeat=2):
+                self.check(sx * x, sy * y)
 
 
 class TestCanonical:
