@@ -95,15 +95,8 @@ def _point_checks(g: int, n: int):
     report = build_dual(g, n)
     w = report.w
 
-    outputs = {
-        "w": w,
-        "c2": c2,
-        "d_square": report.d_square,
-        "gerbe_order": report.gerbe_order,
-        "base_dim": report.base_dim,
-        "fine": report.fine,
-    }
-    # each other field has a record of its own below
+    # the report's fields but polarization_dual, which `dual` prints
+    outputs = {k: v for k, v in vars(report).items() if k != "polarization_dual"}
     yield "dual_surface", {}, outputs, ((report.fine, False),)
     yield "w_isotropic", {}, *_equal(square(w, gram), 0)
     yield "w_primitive", {}, *_equal(is_primitive(w), True)
@@ -220,7 +213,7 @@ def census_records(g_max: int, n_max: int, jobs: int = 1) -> list[dict]:
         for n in range(2, n_max + 1):
             report = build_dual(g, n)
             outputs = {
-                "c2": 2 * (g - 1) * n * n,
+                "c2": report.c2,
                 "w": report.w,
                 "d_square": report.d_square,
                 "gerbe_order": report.gerbe_order,
@@ -324,10 +317,7 @@ def cmd_isotropic(args) -> list[dict]:
     return [{
         "command": "isotropic",
         "inputs": {"c2": args.c2, "g": args.g, "bound": args.bound},
-        "outputs": {
-            "classes": list(result.classes),
-            "exists_nontrivial": result.exists,
-        },
+        "outputs": {"classes": result.classes, "exists_nontrivial": result.exists},
     }]
 
 
@@ -340,10 +330,6 @@ def cmd_dual(args) -> list[dict]:
         "command": "dual",
         "inputs": {"g": args.g, "n": args.n, "k_min": args.k_min, "k_max": args.k_max},
         "outputs": {
-            # every field of the report, in its order, with c2 after w and
-            # the class constant d_ample_assumed last
-            "w": report.w,
-            "c2": 2 * (args.g - 1) * args.n * args.n,
             **vars(report),
             "d_ample_assumed": report.d_ample_assumed,
             "constraints": family.equations,
@@ -375,7 +361,7 @@ def cmd_criterion(args) -> list[dict]:
     return [{
         "command": "criterion",
         "inputs": {"v": v, "c2": c2, "bound": args.bound},
-        "outputs": {"genus": report.genus, "hits": list(report.hits)},
+        "outputs": {**vars(report)},
     }]
 
 
@@ -399,12 +385,7 @@ def cmd_equiv(args) -> list[dict]:
         raise ValueError(f"a shared non-square det must be at least -{EQUIV_DET_MAX}")
     result = equivalent(f1, f2, proper=args.proper)
     outputs = {} if "f1" in inputs else {"f1": f1, "f2": f2}
-    outputs["verdict"] = result.verdict
-    if result.certificate is not None:
-        outputs["certificate"] = result.certificate
-        outputs["values"] = result.values
-    if result.witness is not None:
-        outputs["witness"] = result.witness
+    outputs.update((k, v) for k, v in vars(result).items() if v is not None)
     return [{"command": "equiv", "inputs": inputs, "outputs": outputs}]
 
 
@@ -487,7 +468,6 @@ def build_parser(command: str) -> argparse.ArgumentParser:
         epilog=_EQUIV_EPILOG if command == "equiv" else None,
         formatter_class=_FORMATTER,
     )
-    parser.set_defaults(command=command)
     parser.add_argument(
         "--json", action="store_true", help="emit newline-delimited JSON records"
     )
@@ -555,7 +535,7 @@ def main(argv=None) -> int:
                 flag = dest.replace("_", "-")
                 raise ValueError(f"--{flag} must be at least {minimum}")
         # looked up when called, so a wrapper set on this module's cmd_* is the one run
-        records = globals()["cmd_" + args.command.replace("-", "_")](args)
+        records = globals()["cmd_" + argv[0].replace("-", "_")](args)
         # render all output first: an int past str()'s digit limit raises ValueError
         if args.json:
             import json  # imported on first use: table output never needs it
@@ -567,7 +547,7 @@ def main(argv=None) -> int:
             ).encode
             text = "".join(encode(record) + "\n" for record in records)
         else:
-            text = _RENDERERS.get(args.command, _render_default)(records)
+            text = _RENDERERS.get(argv[0], _render_default)(records)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,7 +59,7 @@ __all__ = [
 
 
 class DualSurfaceReport(Value):
-    """Bundle of dual-surface numerics for one (g, n).
+    """Dual-surface numerics for one (g, n), with c2 = C^2 = 2(g-1)n^2.
 
     The constant `d_ample_assumed` records a geometric input, not a
     computation: the genus-g curve class is ample because the dual surface
@@ -68,9 +68,9 @@ class DualSurfaceReport(Value):
 
     d_ample_assumed = True
 
-    def __init__(self, w: MukaiVector, d_square: int, gerbe_order: int, base_dim: int,
-                 fine: bool, polarization_dual: int):
-        Value.__init__(self, w=w, d_square=d_square, gerbe_order=gerbe_order,
+    def __init__(self, w: MukaiVector, c2: int, d_square: int, gerbe_order: int,
+                 base_dim: int, fine: bool, polarization_dual: int):
+        Value.__init__(self, w=w, c2=c2, d_square=d_square, gerbe_order=gerbe_order,
                        base_dim=base_dim, fine=fine,
                        polarization_dual=polarization_dual)
 
@@ -109,9 +109,9 @@ def quotient_lattice(w: MukaiVector, gram: NSGram) -> QuotientClass:
 def build_dual(g: int, n: int) -> DualSurfaceReport:
     """Dual-surface report for C^2 = 2(g-1)n^2, valid for g >= 2, n >= 2.
 
-    w, the source Gram, and the images of w and v = (1, 0, 1-g) come from
-    the transform table at the family member (k, l) = (0, 0).  The dual
-    polarization is the image of C + (C^2/n)(0,0,1) = w - n*v, negated:
+    w, the source Gram and its c2, and the images of w and v = (1, 0, 1-g)
+    come from the transform table at the family member (k, l) = (0, 0).  The
+    dual polarization is the image of C + (C^2/n)(0,0,1) = w - n*v, negated:
     -((0,0,1) - n*(0,D,k)) has middle component n*D whatever k is.
     `quotient_lattice` rejects a w that is not primitive and isotropic.
 
@@ -126,6 +126,7 @@ def build_dual(g: int, n: int) -> DualSurfaceReport:
     quotient = quotient_lattice(w, gram)
     return DualSurfaceReport(
         w=w,
+        c2=gram.entries[0][0],
         d_square=quotient.square,
         gerbe_order=gerbe,
         base_dim=quotient.square // 2 + 1,
@@ -149,9 +150,11 @@ class ConstraintSolution(Value):
 
 
 class TransformConstraintFamily(Value):
-    def __init__(self, g: int, n: int, equations: tuple[str, ...],
+    """The family's equations and its members; the caller holds (g, n)."""
+
+    def __init__(self, equations: tuple[str, ...],
                  solutions: tuple[ConstraintSolution, ...]):
-        Value.__init__(self, g=g, n=n, equations=equations, solutions=solutions)
+        Value.__init__(self, equations=equations, solutions=solutions)
 
 
 def _transform_data(g: int, n: int, sol: ConstraintSolution):
@@ -235,7 +238,7 @@ def solve_transform_constraints(
         f"de + {n}*k == 1",
         f"e2 == {2 * n}*l",
     )
-    return TransformConstraintFamily(g, n, equations, solutions)
+    return TransformConstraintFamily(equations, solutions)
 
 
 class FibrationHit(Value):
@@ -259,8 +262,10 @@ class FibrationHit(Value):
 
 
 class CriterionReport(Value):
-    def __init__(self, v: MukaiVector, genus: int, hits: tuple[FibrationHit, ...]):
-        Value.__init__(self, v=v, genus=genus, hits=hits)
+    """The genus of v and its hits; the caller holds v."""
+
+    def __init__(self, genus: int, hits: tuple[FibrationHit, ...]):
+        Value.__init__(self, genus=genus, hits=hits)
 
 
 def general_fibration_criterion(
@@ -297,4 +302,4 @@ def general_fibration_criterion(
             gerbe = fineness_gcd(w, gram)
             hits.append(FibrationHit(w, "dual-surface", d_square=sq, gerbe_order=gerbe))
     hits.sort(key=lambda hit: hit.w.components())
-    return CriterionReport(v=v, genus=sq // 2 + 1, hits=tuple(hits))
+    return CriterionReport(genus=sq // 2 + 1, hits=tuple(hits))

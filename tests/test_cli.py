@@ -22,10 +22,11 @@ from k3mukai.cli import (
     EQUIV_DET_MAX,
     _SUBCOMMANDS,
     build_parser,
+    census_records,
     ledger_checks,
     main,
 )
-from k3mukai.dual_surface import DualSurfaceReport
+from k3mukai.dual_surface import DualSurfaceReport, build_dual, solve_transform_constraints
 from k3mukai.quadforms import EquivalenceResult
 from k3mukai.value import Value
 from test_golden import DUAL_SPAN_CAP, PARSER_CASES, TRANSCRIPTS
@@ -434,6 +435,75 @@ class TestCensus:
             assert cell(line, columns.index("w")) == f"({w['r']}, {w['c'][0]}, {w['s']})"
 
 
+# DualSurfaceReport's fields in the order `dual` prints them
+REPORT_FIELDS = ["w", "c2", "d_square", "gerbe_order", "base_dim", "fine", "polarization_dual"]
+
+
+class TestRecordsCarryLibraryValues:
+    """A record prints the value the library returned, not a copy of its
+    formula: the report's own fields, in the report's order."""
+
+    def test_dual_report_fields_over_the_grid(self):
+        grid = range(2, 11)
+        ledger = {
+            (r["inputs"]["g"], r["inputs"]["n"]): r["outputs"]
+            for r in ledger_checks(grid, grid)
+            if r["inputs"]["check"] == "dual_surface"
+        }
+        census = {(r["inputs"]["g"], r["inputs"]["n"]): r["outputs"]
+                  for r in census_records(10, 10)}
+        assert set(ledger) == set(census) == {(g, n) for g in grid for n in grid}
+        for g, n in census:
+            report = build_dual(g, n)
+            assert report.c2 == 2 * (g - 1) * n * n
+            assert list(vars(report)) == REPORT_FIELDS
+            args = build_parser("dual").parse_args(["--g", str(g), "--n", str(n)])
+            [record] = k3mukai.cli.cmd_dual(args)
+            family = solve_transform_constraints(g, n, (-2, 2))
+            assert list(record["outputs"].items()) == [
+                *vars(report).items(),
+                ("d_ample_assumed", True),
+                ("constraints", family.equations),
+                ("solutions", family.solutions),
+            ]
+            assert list(ledger[g, n].items()) == [
+                (name, getattr(report, name)) for name in REPORT_FIELDS[:-1]
+            ]
+            assert list(census[g, n].items()) == [
+                (name, getattr(report, name))
+                for name in ("c2", "w", "d_square", "gerbe_order", "fine", "base_dim")
+            ]
+
+    @pytest.mark.parametrize(
+        "argv, library",
+        [
+            (["criterion", "--g", "2", "--n", "2"], "general_fibration_criterion"),
+            (["dual", "--g", "2", "--n", "2"], "build_dual"),
+        ],
+        ids=["criterion", "dual"],
+    )
+    def test_writing_into_outputs_leaves_the_value_unchanged(
+        self, monkeypatch, argv, library
+    ):
+        returned = []
+        original = getattr(k3mukai.cli, library)
+
+        def recording(*args, **kwargs):
+            returned.append(original(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(k3mukai.cli, library, recording)
+        args = build_parser(argv[0]).parse_args(argv[1:])
+        [record] = getattr(k3mukai.cli, "cmd_" + argv[0])(args)
+        [value] = returned
+        before = dict(vars(value))
+        outputs = record["outputs"]
+        for name in before:
+            outputs[name] = None
+        outputs["added"] = 1
+        assert vars(value) == before
+
+
 # Products of this with itself pass Python's 4,300-digit limit on int-to-str
 # conversion, so rendering them raises ValueError.
 HUGE = "9" * 2200
@@ -487,7 +557,7 @@ class TestEncoding:
     def test_records_hold_only_encodable_types(self, name):
         argv = GOLDEN_ARGV[name]
         args = build_parser(argv[0]).parse_args(argv[1:])
-        records = getattr(k3mukai.cli, "cmd_" + args.command.replace("-", "_"))(args)
+        records = getattr(k3mukai.cli, "cmd_" + argv[0].replace("-", "_"))(args)
         assert records
         for record in records:
             assert_encodable(record)

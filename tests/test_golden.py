@@ -63,6 +63,14 @@ TRANSCRIPTS = {
     "equiv_g2_n2_d2.ndjson": ["equiv", "--g", "2", "--n", "2", "--d", "2", "--json"],
     "equiv_forms.txt": ["equiv", "--f1", "8,0,-2", "--f2", "0,-2,2"],
     "equiv_forms.ndjson": ["equiv", "--f1", "8,0,-2", "--f2", "0,-2,2", "--json"],
+    # an equivalent pair, whose record ends in its witness
+    "equiv_witness.txt": ["equiv", "--f1", "2,1,3", "--f2", "3,-1,2"],
+    "equiv_witness.ndjson": ["equiv", "--f1", "2,1,3", "--f2", "3,-1,2", "--json"],
+    # one determinant, two canonical forms: the reduced_form certificate
+    "equiv_reduced_form.txt": ["equiv", "--f1", "1,0,14", "--f2", "2,0,7"],
+    "equiv_reduced_form.ndjson": [
+        "equiv", "--f1", "1,0,14", "--f2", "2,0,7", "--json",
+    ],
     "census_10_10.txt": ["census", "--g-max", "10", "--n-max", "10"],
     "census_10_10.ndjson": ["census", "--g-max", "10", "--n-max", "10", "--json"],
     # argparse spellings that run: a unique prefix of a flag, and a flag given

@@ -37,14 +37,14 @@ SAMPLES = {
     BBClass: lambda: BBClass(1, 2),
     BBLattice: lambda: BBLattice(8, 2),
     IsotropicSearch: lambda: IsotropicSearch((BBClass(1, 2),), True),
-    DualSurfaceReport: lambda: DualSurfaceReport(W, 2, 2, 2, False, 2),
+    DualSurfaceReport: lambda: DualSurfaceReport(W, 8, 2, 2, 2, False, 2),
     QuotientClass: lambda: QuotientClass(W, 2),
     ConstraintSolution: lambda: ConstraintSolution(k=0, l=0, de=1, e2=0),
     TransformConstraintFamily: lambda: TransformConstraintFamily(
-        2, 2, ("de + 2*k == 1",), (SOLUTION,)
+        ("de + 2*k == 1",), (SOLUTION,)
     ),
     FibrationHit: lambda: FibrationHit(W, "dual-surface", d_square=2, gerbe_order=2),
-    CriterionReport: lambda: CriterionReport(W, 2, ()),
+    CriterionReport: lambda: CriterionReport(2, ()),
 }
 CLASSES = pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
 
