@@ -23,23 +23,10 @@ import re
 import sys
 from math import isqrt
 
-from .bb import BBLattice, find_isotropic, fujiki_degree
-from .checks import (
-    brill_noether_data,
-    double_dual_square,
-    extension_square,
-    kernel_square,
-    kernel_square_bound,
-    tensor_degree_check,
-    torsion_degree,
-)
-from .dual_surface import (
-    build_dual,
-    family_holds,
-    family_ranges,
-    general_fibration_criterion,
-    solve_transform_constraints,
-)
+# The vector reader, `pair`, `square` and `criterion` use .mukai.  Every other
+# library name is imported in the body of the function that calls it: a call
+# loads only the modules its subcommand runs, and reads each name off its home
+# module when it runs, which is where perfbench's tracer wraps it.
 from .mukai import (
     MukaiVector,
     NSGram,
@@ -48,7 +35,6 @@ from .mukai import (
     pairing,
     square,
 )
-from .quadforms import QuadForm2, equivalent, gen_picard_determinant, picard_scheme_form
 
 __all__ = ["ledger_checks", "census_records", "main"]
 
@@ -90,6 +76,19 @@ def _equal(computed, claimed, **extra) -> tuple[dict, tuple]:
 def _point_checks(g: int, n: int):
     """Every ledger check at one (g, n) grid point, as (check, inputs,
     outputs, claims); `claims` holds (computed, claimed) pairs."""
+    from .bb import BBLattice, fujiki_degree
+    from .checks import (
+        brill_noether_data,
+        double_dual_square,
+        extension_square,
+        kernel_square,
+        kernel_square_bound,
+        tensor_degree_check,
+        torsion_degree,
+    )
+    from .dual_surface import build_dual, family_holds, family_ranges
+    from .quadforms import equivalent, gen_picard_determinant, picard_scheme_form
+
     c2 = 2 * (g - 1) * n * n
     gram = NSGram.rank_one(c2)
     report = build_dual(g, n)
@@ -208,6 +207,8 @@ def census_records(g_max: int, n_max: int, jobs: int = 1) -> list[dict]:
     `jobs` has no effect: the census is CPU-bound Python, which threads
     only slow down under the GIL.  It stays for perfbench until ROADMAP item 1.
     """
+    from .dual_surface import build_dual
+
     records = []
     for g in range(2, g_max + 1):
         for n in range(2, n_max + 1):
@@ -312,6 +313,8 @@ def cmd_square(args) -> list[dict]:
 
 
 def cmd_isotropic(args) -> list[dict]:
+    from .bb import BBLattice, find_isotropic
+
     lat = BBLattice(args.c2, args.g)
     result = find_isotropic(lat, args.bound)
     return [{
@@ -322,6 +325,8 @@ def cmd_isotropic(args) -> list[dict]:
 
 
 def cmd_dual(args) -> list[dict]:
+    from .dual_surface import build_dual, solve_transform_constraints
+
     if args.k_max - args.k_min > DUAL_K_SPAN_MAX:
         raise ValueError(f"--k-max - --k-min must be at most {DUAL_K_SPAN_MAX}")
     report = build_dual(args.g, args.n)
@@ -339,6 +344,8 @@ def cmd_dual(args) -> list[dict]:
 
 
 def cmd_criterion(args) -> list[dict]:
+    from .dual_surface import general_fibration_criterion
+
     if args.v is not None:
         if args.g is not None or args.n is not None:
             raise ValueError("--v cannot be combined with --g or --n")
@@ -366,6 +373,9 @@ def cmd_criterion(args) -> list[dict]:
 
 
 def cmd_equiv(args) -> list[dict]:
+    from .bb import BBLattice
+    from .quadforms import QuadForm2, equivalent, picard_scheme_form
+
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
             raise ValueError("--f1 and --f2 must be given together")

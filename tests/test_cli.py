@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import k3mukai.checks
 import k3mukai.cli
+import k3mukai.dual_surface
 from k3mukai.cli import (
     CENSUS_GRID_MAX,
     DUAL_K_SPAN_MAX,
@@ -67,7 +68,7 @@ class TestExitCodes:
             computed, claimed = original(n, g)
             return computed, claimed + 1
 
-        monkeypatch.setattr("k3mukai.cli.extension_square", broken)
+        monkeypatch.setattr("k3mukai.checks.extension_square", broken)
         code, out, _ = run_cli(capsys, "verify-paper", "--g", "2", "--n", "2")
         assert code == 1
         assert "FAIL" in out
@@ -313,7 +314,8 @@ class TestVerifyPaper:
 
 
 # Each wrapper breaks exactly one claim of a record kind that makes more than
-# one (computed, claimed) claim; it replaces a name that k3mukai.cli looks up.
+# one (computed, claimed) claim; it replaces a name in its home module, where
+# k3mukai.cli looks it up.
 def fine_dual(build_dual):
     return lambda g, n: DualSurfaceReport(**{**vars(build_dual(g, n)), "fine": True})
 
@@ -356,7 +358,8 @@ def family_fails(family_holds):
     ("transform_constraints", "family_holds", family_fails),
 ])
 def test_one_broken_claim_fails_only_its_kind(capsys, monkeypatch, kind, name, breaks):
-    monkeypatch.setattr(k3mukai.cli, name, breaks(getattr(k3mukai.cli, name)))
+    home = sys.modules[getattr(k3mukai, name).__module__]
+    monkeypatch.setattr(home, name, breaks(getattr(home, name)))
     code, out, _ = run_cli(capsys, "verify-paper", "--g", "3", "--n", "2", "--json")
     records = [json.loads(line) for line in out.splitlines()]
     assert code == 1
@@ -486,13 +489,13 @@ class TestRecordsCarryLibraryValues:
         self, monkeypatch, argv, library
     ):
         returned = []
-        original = getattr(k3mukai.cli, library)
+        original = getattr(k3mukai.dual_surface, library)
 
         def recording(*args, **kwargs):
             returned.append(original(*args, **kwargs))
             return returned[-1]
 
-        monkeypatch.setattr(k3mukai.cli, library, recording)
+        monkeypatch.setattr(k3mukai.dual_surface, library, recording)
         args = build_parser(argv[0]).parse_args(argv[1:])
         [record] = getattr(k3mukai.cli, "cmd_" + argv[0])(args)
         [value] = returned
@@ -622,6 +625,38 @@ class TestParser:
             [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
         )
         assert result.stdout == "[]\n"
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (None, []),
+            (TRANSCRIPTS["pair.txt"], ["cli", "mukai", "value"]),
+            (TRANSCRIPTS["square.txt"], ["cli", "mukai", "value"]),
+            (
+                ["verify-paper", "--g", "2", "--n", "2"],
+                ["bb", "checks", "cli", "dual_surface", "hermite", "mukai", "quadforms", "value"],
+            ),
+        ],
+        ids=["package", "pair", "square", "verify_paper"],
+    )
+    def test_call_loads_only_the_modules_it_runs(self, argv, loaded):
+        # the package loads a library module on first use of one of its names,
+        # and the CLI imports each one in the handler that calls it, so every
+        # cold start compiles only the modules its subcommand runs
+        src = os.path.dirname(os.path.dirname(k3mukai.checks.__file__))
+        call = "import k3mukai\ncode = 0\n" if argv is None else (
+            "import contextlib, io, k3mukai.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = k3mukai.cli.main({argv!r})\n"
+        )
+        probe = (
+            f"import sys\nsys.path.insert(0, {src!r})\n{call}"
+            "print(code, sorted(m for m in sys.modules if m.startswith('k3mukai.')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout == f"0 {[f'k3mukai.{m}' for m in loaded]}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,11 +1,11 @@
 """Export integrity: each module's `__all__` names what it defines, and the
-package republishes exactly the `__all__` of the modules it imports."""
+package republishes exactly the `__all__` of the modules it names, loading
+each on first use."""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
-from types import ModuleType
 
 import pytest
 
@@ -17,22 +17,30 @@ MODULES = sorted(
 
 
 def republished_modules() -> list[str]:
-    """The modules that `k3mukai/__init__.py` imports, each as `from .<module> import *`;
-    any other statement but the docstring and dunder assignments fails."""
+    """The modules named by `_MODULES` in `k3mukai/__init__.py`.  Besides the
+    docstring, that file may only import under private names, assign private
+    names and define the PEP 562 hooks `__getattr__` and `__dir__`, so the
+    package declares no public name of its own; any other statement fails."""
     tree = ast.parse(Path(k3mukai.__file__).read_text())
-    modules = []
     for node in tree.body:
         if isinstance(node, ast.ImportFrom):
-            assert (node.level, [alias.name for alias in node.names]) == (1, ["*"])
-            modules.append(node.module)
+            assert all((alias.asname or "").startswith("_") for alias in node.names)
         elif isinstance(node, ast.Assign):
             assert all(
-                isinstance(target, ast.Name) and target.id.startswith("__")
+                isinstance(target, ast.Name) and target.id.startswith("_")
                 for target in node.targets
             )
+        elif isinstance(node, ast.FunctionDef):
+            assert node.name in ("__getattr__", "__dir__")
         else:
             assert isinstance(node, ast.Expr) and node is tree.body[0], ast.dump(node)
-    return modules
+    return list(k3mukai._MODULES)
+
+
+def exports() -> dict[str, object]:
+    """Each name in a republished module's `__all__`, with its module."""
+    modules = [importlib.import_module(f"k3mukai.{m}") for m in republished_modules()]
+    return {name: module for module in modules for name in module.__all__}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,11 +53,30 @@ def test_all_names_resolve(name):
 def test_package_imports_are_exported():
     modules = republished_modules()
     assert modules and set(modules) <= set(MODULES)
-    exported = set()
-    for name in modules:
-        exported.update(importlib.import_module(f"k3mukai.{name}").__all__)
-    public = {
-        name for name, value in vars(k3mukai).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
-    }
-    assert public == exported
+    assert k3mukai.__all__ == list(exports())  # in module order, no duplicates
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from k3mukai import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(exports())
+
+
+def test_each_export_is_its_module_attribute():
+    for name, module in exports().items():
+        assert getattr(k3mukai, name) is getattr(module, name)
+
+
+def test_dir_lists_every_export():
+    assert set(exports()) <= set(dir(k3mukai))
+
+
+# a public name of a module the package does not republish, a module's
+# unexported names, a name of cli (which the package never loads), and no name
+@pytest.mark.parametrize(
+    "name", ["kernel_of_functional", "Value", "_complete", "ledger_checks", "no_such_name"]
+)
+def test_unexported_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(k3mukai, name)

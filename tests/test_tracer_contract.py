@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import k3mukai.checks
 import k3mukai.cli as cli
 
 REPO = Path(__file__).resolve().parent.parent
@@ -75,14 +76,14 @@ def test_traced_name_is_wrapped_in_src(name):
         assert method in vars(getattr(module, cls_name))
 
 
-def count_calls(monkeypatch, calls: Counter, name: str) -> None:
-    original = getattr(cli, name)
+def count_calls(monkeypatch, calls: Counter, module, name: str) -> None:
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls[name] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_main_calls_parser_and_handler_through_module_attributes(monkeypatch):
@@ -90,8 +91,8 @@ def test_main_calls_parser_and_handler_through_module_attributes(monkeypatch):
     # and `cmd_*` on k3mukai.cli after import; a main that held on to the
     # original functions would bypass it, and its timings would read 0
     calls = Counter()
-    count_calls(monkeypatch, calls, "build_parser")
-    count_calls(monkeypatch, calls, "cmd_pair")
+    count_calls(monkeypatch, calls, cli, "build_parser")
+    count_calls(monkeypatch, calls, cli, "cmd_pair")
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["pair", "--v", "2,1,2", "--u", "2,1,2", "--c2", "8"])
     assert code == 0 and "pairing" in out.getvalue()
@@ -100,10 +101,11 @@ def test_main_calls_parser_and_handler_through_module_attributes(monkeypatch):
 
 def test_ledger_calls_checks_through_module_attributes(monkeypatch):
     # the tracer counts checks.calls by replacing each check function on
-    # k3mukai.cli; a ledger holding the originals, say in a table built at
-    # import, would bypass it, and checks.calls would read 0
+    # k3mukai.checks, where the ledger looks it up on each call; a ledger
+    # holding the originals, say in a table built at import, would bypass it,
+    # and checks.calls would read 0
     calls = Counter()
-    count_calls(monkeypatch, calls, "kernel_square")
+    count_calls(monkeypatch, calls, k3mukai.checks, "kernel_square")
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["verify-paper", "--g", "3", "--n", "2"])
     # N = 1 .. 2g at each of the three lengths
