@@ -12,7 +12,7 @@ Nothing here decides pass or fail; `cli.ledger_checks` does.
 
 from __future__ import annotations
 
-from .dual_surface import member_gram
+from .dual_surface import family_c2, member_gram
 from .mukai import MukaiVector, NSGram, square
 
 __all__ = [
@@ -37,8 +37,8 @@ def double_dual_square(n: int, g: int, length: int) -> tuple[int, int]:
     A positive length violates the Bogomolov bound (square < -2), which is
     how local freeness of the dual-surface sheaves is forced.
     """
-    _require(n >= 2 and g >= 2 and length >= 0, "need n >= 2, g >= 2, length >= 0")
-    gram = NSGram.rank_one(2 * (g - 1) * n * n)
+    _require(length >= 0, "need length >= 0")
+    gram = NSGram.rank_one(family_c2(g, n))
     vec = MukaiVector(n, (1,), (g - 1) * n + length)
     return square(vec, gram), -2 * n * length
 
@@ -49,8 +49,7 @@ def extension_square(n: int, g: int) -> tuple[int, int]:
     Always below -2, so the extension sheaf can never be stable; that
     contradiction kills the higher cohomology of the dual-surface bundles.
     """
-    _require(n >= 2 and g >= 2, "need n >= 2 and g >= 2")
-    gram = NSGram.rank_one(2 * (g - 1) * n * n)
+    gram = NSGram.rank_one(family_c2(g, n))
     vec = MukaiVector(n + 1, (-1,), (g - 1) * n + 1)
     return square(vec, gram), -2 * (n * g + 1)
 
@@ -88,8 +87,8 @@ def torsion_degree(g: int, n: int, m: int) -> tuple[int, bool]:
     m > 1 would produce a smaller positive degree, proving the genus-g
     curve class primitive.
     """
-    _require(g >= 2 and n >= 2 and m >= 1, "need g >= 2, n >= 2, m >= 1")
-    total = 2 * (g - 1) * n * n
+    _require(m >= 1, "need m >= 1")
+    total = family_c2(g, n)
     degree, remainder = divmod(total, m)
     if remainder:
         raise ValueError(f"{m} does not divide {total}")

@@ -21,7 +21,6 @@ import argparse
 import functools
 import re
 import sys
-from math import isqrt
 
 # The vector reader, `pair`, `square` and `criterion` use .mukai.  Every other
 # library name is imported in the body of the function that calls it: a call
@@ -344,7 +343,7 @@ def cmd_dual(args) -> list[dict]:
 
 
 def cmd_criterion(args) -> list[dict]:
-    from .dual_surface import general_fibration_criterion
+    from .dual_surface import family_c2, general_fibration_criterion
 
     if args.v is not None:
         if args.g is not None or args.n is not None:
@@ -355,13 +354,10 @@ def cmd_criterion(args) -> list[dict]:
     elif args.g is not None:
         if args.c2 is not None and args.n is not None:
             raise ValueError("--g takes --n or --c2, not both")
-        v = MukaiVector(1, (0,), 1 - args.g)
-        if args.c2 is not None:
-            c2 = args.c2
-        elif args.n is not None:
-            c2 = 2 * (args.g - 1) * args.n * args.n
-        else:
+        if args.c2 is None and args.n is None:
             raise ValueError("--g needs either --n or --c2 to fix the lattice")
+        v = MukaiVector(1, (0,), 1 - args.g)
+        c2 = family_c2(args.g, args.n) if args.c2 is None else args.c2
     else:
         raise ValueError("criterion needs --v with --c2, or --g with --n/--c2")
     report = general_fibration_criterion(v, NSGram.rank_one(c2), args.bound)
@@ -373,8 +369,7 @@ def cmd_criterion(args) -> list[dict]:
 
 
 def cmd_equiv(args) -> list[dict]:
-    from .bb import BBLattice
-    from .quadforms import QuadForm2, equivalent, picard_scheme_form
+    from .quadforms import QuadForm2, equivalent, isotropic_lines, picard_scheme_form
 
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
@@ -387,11 +382,13 @@ def cmd_equiv(args) -> list[dict]:
     else:
         if args.g is None or args.n is None or args.d is None:
             raise ValueError("equiv needs --f1/--f2 or all of --g, --n, --d")
-        f1 = BBLattice(2 * (args.g - 1) * args.n * args.n, args.g).form
+        from .bb import BBLattice
+        from .dual_surface import family_c2
+        f1 = BBLattice(family_c2(args.g, args.n), args.g).form
         f2 = picard_scheme_form(args.g, args.d).form
         inputs = {"g": args.g, "n": args.n, "d": args.d, "bound": args.bound}
     det = f1.determinant()
-    if det == f2.determinant() < -EQUIV_DET_MAX and isqrt(-det) ** 2 != -det:
+    if det == f2.determinant() < -EQUIV_DET_MAX and not isotropic_lines(f1):
         raise ValueError(f"a shared non-square det must be at least -{EQUIV_DET_MAX}")
     result = equivalent(f1, f2, proper=args.proper)
     outputs = {} if "f1" in inputs else {"f1": f1, "f2": f2}

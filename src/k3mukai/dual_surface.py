@@ -50,6 +50,7 @@ __all__ = [
     "build_dual",
     "quotient_lattice",
     "solve_transform_constraints",
+    "family_c2",
     "family_ranges",
     "family_holds",
     "verify_solution",
@@ -107,7 +108,7 @@ def quotient_lattice(w: MukaiVector, gram: NSGram) -> QuotientClass:
 
 
 def build_dual(g: int, n: int) -> DualSurfaceReport:
-    """Dual-surface report for C^2 = 2(g-1)n^2, valid for g >= 2, n >= 2.
+    """Dual-surface report for C^2 = `family_c2(g, n)`, so g >= 2, n >= 2.
 
     w, the source Gram and its c2, and the images of w and v = (1, 0, 1-g)
     come from the transform table at the family member (k, l) = (0, 0).  The
@@ -118,8 +119,6 @@ def build_dual(g: int, n: int) -> DualSurfaceReport:
     The n = 1 and n = 0 situations are classical (compactified Jacobian,
     elliptic K3) and are handled by `general_fibration_criterion` instead.
     """
-    if g < 2 or n < 2:
-        raise ValueError("build_dual requires g >= 2 and n >= 2")
     gram, _, table = _transform_data(g, n, _member(n, 0, 0))
     (w, w_image), (_, v_image), _ = table
     gerbe = fineness_gcd(w, gram)
@@ -157,9 +156,16 @@ class TransformConstraintFamily(Value):
         Value.__init__(self, equations=equations, solutions=solutions)
 
 
+def family_c2(g: int, n: int) -> int:
+    """C^2 = 2(g-1)n^2 of the source surface; ValueError unless g, n >= 2."""
+    if g < 2 or n < 2:
+        raise ValueError("the family requires g >= 2 and n >= 2")
+    return 2 * (g - 1) * n * n
+
+
 def _transform_data(g: int, n: int, sol: ConstraintSolution):
     """Source classes, their images, and the two Gram matrices."""
-    src = NSGram.rank_one(2 * (g - 1) * n * n)
+    src = NSGram.rank_one(family_c2(g, n))
     dst = member_gram(g, n, sol)
     table = (
         (MukaiVector(n, (1,), (g - 1) * n), MukaiVector(0, (0, 0), 1)),
@@ -228,8 +234,6 @@ def solve_transform_constraints(
     AssertionError means the parametrization violates the isometry.  k and
     l stay free parameters by design.
     """
-    if g < 2 or n < 2:
-        raise ValueError("constraints require g >= 2 and n >= 2")
     k_values, l_values = family_ranges(k_range)
     if not family_holds(g, n):
         raise AssertionError(f"transform constraint family fails for g={g}, n={n}")

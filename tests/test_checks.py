@@ -152,6 +152,10 @@ class TestTorsionDegree:
         with pytest.raises(ValueError):
             torsion_degree(2, 2, 3)
 
+    def test_nonpositive_m_rejected(self):
+        with pytest.raises(ValueError):
+            torsion_degree(2, 2, 0)
+
     def test_grid(self):
         for g in range(2, 13):
             for n in range(2, 13):

@@ -633,11 +633,19 @@ class TestParser:
             (TRANSCRIPTS["pair.txt"], ["cli", "mukai", "value"]),
             (TRANSCRIPTS["square.txt"], ["cli", "mukai", "value"]),
             (
+                ["equiv", "--f1", "8,0,-2", "--f2", "0,-2,2"],
+                ["cli", "mukai", "quadforms", "value"],
+            ),
+            (
+                ["equiv", "--g", "2", "--n", "2", "--d", "2"],
+                ["bb", "cli", "dual_surface", "hermite", "mukai", "quadforms", "value"],
+            ),
+            (
                 ["verify-paper", "--g", "2", "--n", "2"],
                 ["bb", "checks", "cli", "dual_surface", "hermite", "mukai", "quadforms", "value"],
             ),
         ],
-        ids=["package", "pair", "square", "verify_paper"],
+        ids=["package", "pair", "square", "equiv_forms", "equiv_picard", "verify_paper"],
     )
     def test_call_loads_only_the_modules_it_runs(self, argv, loaded):
         # the package loads a library module on first use of one of its names,

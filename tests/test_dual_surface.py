@@ -11,11 +11,13 @@ import pytest
 
 import k3mukai.bb
 import k3mukai.dual_surface
+from k3mukai.checks import double_dual_square, extension_square, torsion_degree
 from k3mukai.cli import main
 from k3mukai.dual_surface import (
     ConstraintSolution,
     FibrationHit,
     build_dual,
+    family_c2,
     family_holds,
     family_ranges,
     general_fibration_criterion,
@@ -78,6 +80,39 @@ class TestBuildDual:
                 assert report.base_dim == g
                 assert not report.fine
                 assert report.polarization_dual == n
+
+
+class TestFamilyC2:
+    def test_closed_form_and_build_dual(self):
+        for g in range(2, 21):
+            for n in range(2, 21):
+                assert family_c2(g, n) == 2 * (g - 1) * n * n
+                assert build_dual(g, n).c2 == family_c2(g, n)
+
+    # every routine that builds the source lattice takes its domain from family_c2
+    @pytest.mark.parametrize(
+        "call",
+        [
+            family_c2,
+            lambda g, n: verify_solution(g, n, ConstraintSolution(0, 0, 1, 0)),
+            family_holds,
+            lambda g, n: double_dual_square(n, g, 0),
+            lambda g, n: extension_square(n, g),
+            lambda g, n: torsion_degree(g, n, 1),
+        ],
+        ids=[
+            "family_c2",
+            "verify_solution",
+            "family_holds",
+            "double_dual_square",
+            "extension_square",
+            "torsion_degree",
+        ],
+    )
+    @pytest.mark.parametrize("bad", [(1, 2), (2, 1), (0, 5), (2, 0)])
+    def test_out_of_range(self, call, bad):
+        with pytest.raises(ValueError):
+            call(*bad)
 
 
 class TestQuotientLattice:
