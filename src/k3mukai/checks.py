@@ -5,8 +5,10 @@ Most checks return (computed, claimed): a raw Mukai-pairing computation on
 explicitly constructed vectors, and the paper's closed form for it.  Three
 return closed-form data alone: `kernel_square_bound` an int,
 `torsion_degree` (degree, allowed) and `brill_noether_data` (rank, degree).
-Four ledger kinds compare two closed forms: `brill_noether_unit`,
-`fujiki_constant_degree`, `picard_determinants` and `torsion_degree`.
+Four ledger kinds compare two closed forms, `picard_determinants` on its
+Hilb side only: `brill_noether_unit`, `fujiki_constant_degree`,
+`picard_determinants` and `torsion_degree`.
+A (g, n) outside the family raises ValueError in `family_c2`.
 Nothing here decides pass or fail; `cli.ledger_checks` does.
 """
 
@@ -67,7 +69,7 @@ def kernel_square(N: int, n: int, g: int, length: int) -> tuple[int, int]:
     record) fixes them at 0, -1 and 2g - 2, their source values, for every
     integer (k, l).
     """
-    _require(N >= 1 and n >= 2 and g >= 2 and length >= 0, "bad kernel arguments")
+    _require(N >= 1 and length >= 0, "need N >= 1 and length >= 0")
     vec = MukaiVector(N * n, (-1, N), length)  # the kernel class at k = l = 0
     return square(vec, member_gram(g, n)), -2 * N - 2 * N * n * length + 2 * (g - 1)
 
@@ -75,7 +77,8 @@ def kernel_square(N: int, n: int, g: int, length: int) -> tuple[int, int]:
 def kernel_square_bound(n: int, g: int, length: int) -> int:
     """The largest N whose `kernel_square` meets the Bogomolov bound
     (square >= -2), namely g // (1 + n*length)."""
-    _require(n >= 2 and g >= 2 and length >= 0, "need n >= 2, g >= 2, length >= 0")
+    family_c2(g, n)  # the family's domain
+    _require(length >= 0, "need length >= 0")
     return g // (1 + n * length)
 
 
@@ -103,12 +106,11 @@ def tensor_degree_check(g: int, n: int) -> tuple[int, int]:
     not involve its D.E or E^2 entries); the closed form is
     C^2 = 2(g-1)n^2 on the source side.
     """
-    _require(g >= 2 and n >= 2, "need g >= 2 and n >= 2")
     return member_gram(g, n).dot((n, 0), (n, 0)), 2 * (g - 1) * n * n
 
 
 def brill_noether_data(g: int, n: int) -> tuple[int, int]:
     """(rank, degree) = (n, (g-1)n + 1) of the restricted bundles on a
     genus-g curve; degree - (g-1)*rank = 1 always."""
-    _require(g >= 2 and n >= 2, "need g >= 2 and n >= 2")
+    family_c2(g, n)  # the family's domain
     return n, (g - 1) * n + 1

@@ -72,6 +72,11 @@ def _equal(computed, claimed, **extra) -> tuple[dict, tuple]:
     return {"computed": computed, "claimed": claimed, **extra}, ((computed, claimed),)
 
 
+def _surface_outputs(report) -> dict:
+    """A `DualSurfaceReport`'s fields but `polarization_dual`, which `dual` prints."""
+    return {k: v for k, v in vars(report).items() if k != "polarization_dual"}
+
+
 def _point_checks(g: int, n: int):
     """Every ledger check at one (g, n) grid point, as (check, inputs,
     outputs, claims); `claims` holds (computed, claimed) pairs."""
@@ -93,9 +98,7 @@ def _point_checks(g: int, n: int):
     report = build_dual(g, n)
     w = report.w
 
-    # the report's fields but polarization_dual, which `dual` prints
-    outputs = {k: v for k, v in vars(report).items() if k != "polarization_dual"}
-    yield "dual_surface", {}, outputs, ((report.fine, False),)
+    yield "dual_surface", {}, _surface_outputs(report), ((report.fine, False),)
     yield "w_isotropic", {}, *_equal(square(w, gram), 0)
     yield "w_primitive", {}, *_equal(is_primitive(w), True)
     yield "gerbe_order", {}, *_equal(report.gerbe_order, n)
@@ -156,7 +159,7 @@ def _point_checks(g: int, n: int):
     )
 
     hilb_det = gen_picard_determinant(c2)
-    dual_det = gen_picard_determinant(2 * (g - 1))
+    dual_det = gen_picard_determinant(report.d_square)
     distinct = hilb_det != dual_det
     outputs = {"hilb_det": hilb_det, "dual_det": dual_det, "distinct": distinct}
     yield "picard_determinants", {}, outputs, (
@@ -208,22 +211,15 @@ def census_records(g_max: int, n_max: int, jobs: int = 1) -> list[dict]:
     """
     from .dual_surface import build_dual
 
-    records = []
-    for g in range(2, g_max + 1):
-        for n in range(2, n_max + 1):
-            report = build_dual(g, n)
-            outputs = {
-                "c2": report.c2,
-                "w": report.w,
-                "d_square": report.d_square,
-                "gerbe_order": report.gerbe_order,
-                "fine": report.fine,
-                "base_dim": report.base_dim,
-            }
-            records.append(
-                {"command": "census", "inputs": {"g": g, "n": n}, "outputs": outputs}
-            )
-    return records
+    return [
+        {
+            "command": "census",
+            "inputs": {"g": g, "n": n},
+            "outputs": _surface_outputs(build_dual(g, n)),
+        }
+        for g in range(2, g_max + 1)
+        for n in range(2, n_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,10 @@ class DualSurfaceReport(Value):
 
     d_ample_assumed = True
 
-    def __init__(self, w: MukaiVector, c2: int, d_square: int, gerbe_order: int,
-                 base_dim: int, fine: bool, polarization_dual: int):
-        Value.__init__(self, w=w, c2=c2, d_square=d_square, gerbe_order=gerbe_order,
-                       base_dim=base_dim, fine=fine,
+    def __init__(self, c2: int, w: MukaiVector, d_square: int, gerbe_order: int,
+                 fine: bool, base_dim: int, polarization_dual: int):
+        Value.__init__(self, c2=c2, w=w, d_square=d_square, gerbe_order=gerbe_order,
+                       fine=fine, base_dim=base_dim,
                        polarization_dual=polarization_dual)
 
 
@@ -124,12 +124,12 @@ def build_dual(g: int, n: int) -> DualSurfaceReport:
     gerbe = fineness_gcd(w, gram)
     quotient = quotient_lattice(w, gram)
     return DualSurfaceReport(
-        w=w,
         c2=gram.entries[0][0],
+        w=w,
         d_square=quotient.square,
         gerbe_order=gerbe,
-        base_dim=quotient.square // 2 + 1,
         fine=gerbe == 1,
+        base_dim=quotient.square // 2 + 1,
         polarization_dual=-(w_image - n * v_image).c[0],
     )
 
@@ -191,10 +191,11 @@ def _member(n: int, k: int, l: int) -> ConstraintSolution:
 
 
 def member_gram(g: int, n: int, sol: ConstraintSolution | None = None) -> NSGram:
-    """(D, E) Gram [[2g - 2, de], [de, e2]] of `sol`, by default of the
-    family member `_member(n, 0, 0)`, looked up when called."""
+    """(D, E) Gram [[D^2, de], [de, e2]] of `sol`, by default of the family
+    member `_member(n, 0, 0)`, looked up when called.  D^2 = 2g - 2 is
+    C^2 / n^2, read from `family_c2`, so g, n < 2 raise ValueError."""
     sol = _member(n, 0, 0) if sol is None else sol
-    return NSGram.rank_two(2 * g - 2, sol.de, sol.e2)
+    return NSGram.rank_two(family_c2(g, n) // (n * n), sol.de, sol.e2)
 
 
 def family_holds(g: int, n: int) -> bool:

@@ -11,7 +11,15 @@ import pytest
 
 import k3mukai.bb
 import k3mukai.dual_surface
-from k3mukai.checks import double_dual_square, extension_square, torsion_degree
+from k3mukai.checks import (
+    brill_noether_data,
+    double_dual_square,
+    extension_square,
+    kernel_square,
+    kernel_square_bound,
+    tensor_degree_check,
+    torsion_degree,
+)
 from k3mukai.cli import main
 from k3mukai.dual_surface import (
     ConstraintSolution,
@@ -89,24 +97,35 @@ class TestFamilyC2:
                 assert family_c2(g, n) == 2 * (g - 1) * n * n
                 assert build_dual(g, n).c2 == family_c2(g, n)
 
-    # every routine that builds the source lattice takes its domain from family_c2
+    # every routine of the family, and each of the seven checks, takes its
+    # domain from family_c2
     @pytest.mark.parametrize(
         "call",
         [
             family_c2,
             lambda g, n: verify_solution(g, n, ConstraintSolution(0, 0, 1, 0)),
             family_holds,
+            member_gram,
             lambda g, n: double_dual_square(n, g, 0),
             lambda g, n: extension_square(n, g),
             lambda g, n: torsion_degree(g, n, 1),
+            lambda g, n: kernel_square(1, n, g, 0),
+            lambda g, n: kernel_square_bound(n, g, 0),
+            tensor_degree_check,
+            brill_noether_data,
         ],
         ids=[
             "family_c2",
             "verify_solution",
             "family_holds",
+            "member_gram",
             "double_dual_square",
             "extension_square",
             "torsion_degree",
+            "kernel_square",
+            "kernel_square_bound",
+            "tensor_degree_check",
+            "brill_noether_data",
         ],
     )
     @pytest.mark.parametrize("bad", [(1, 2), (2, 1), (0, 5), (2, 0)])
@@ -287,13 +306,17 @@ def members_all_verify(g, n, member, box=10):
 
 
 # affine parametrizations: the true one, then one wrong in each of the
-# constant, k and l directions, and one whose de drifts with l
+# constant, k and l directions, one whose de drifts with l, and one whose e2 is
+# wrong at (0, 0) alone of family_holds' three sample points
 PARAMETRIZATIONS = {
     "true": lambda n, k, l: ConstraintSolution(k, l, 1 - n * k, 2 * n * l),
     "constant": lambda n, k, l: ConstraintSolution(k, l, 2 - n * k, 2 * n * l),
     "k_slope": lambda n, k, l: ConstraintSolution(k, l, 1 - (n + 1) * k, 2 * n * l),
     "l_slope": lambda n, k, l: ConstraintSolution(k, l, 1 - n * k, 2 * (n + 1) * l),
     "de_with_l": lambda n, k, l: ConstraintSolution(k, l, 1 - n * k + l, 2 * n * l),
+    "e2_at_origin": lambda n, k, l: ConstraintSolution(
+        k, l, 1 - n * k, 2 * n * l + 2 * (1 - k - l)
+    ),
 }
 ORACLE_POINTS = [(2, 2), (3, 2), (2, 5), (5, 3), (7, 4), (10, 10)]
 
@@ -348,10 +371,10 @@ class TestWrongFamilyReachesLedger:
         monkeypatch.setattr(k3mukai.dual_surface, "_member", PARAMETRIZATIONS[name])
         code, failing = failing_ledger_checks(capsys)
         assert code == 1
-        # only `constant` moves the (0, 0) member the kernel check reads, and
-        # the bound's claim is read off the kernel squares
+        # only `constant` and `e2_at_origin` move the (0, 0) member the kernel
+        # check reads, and the bound's claim is read off the kernel squares
         expected = {"transform_constraints"}
-        if name == "constant":
+        if name in ("constant", "e2_at_origin"):
             expected |= {"kernel_square", "kernel_square_bound"}
         assert failing == expected
 
@@ -402,10 +425,10 @@ class TestGeneralFibrationCriterion:
         assert elliptic[0].d_square is None
 
     def test_rejects_nonpositive_square(self):
-        with pytest.raises(ValueError):
-            general_fibration_criterion(
-                MukaiVector(0, (0,), 1), NSGram.rank_one(8), 3
-            )
+        # a v of square 0 would fail later, on its degenerate v-perp
+        for v in (MukaiVector(0, (0,), 1), MukaiVector(1, (0,), 0)):
+            with pytest.raises(ValueError, match="2g - 2 > 0"):
+                general_fibration_criterion(v, NSGram.rank_one(8), 3)
 
     def test_against_independent_search(self):
         # re-run the search with its own loops and filters

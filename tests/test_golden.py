@@ -44,6 +44,11 @@ TRANSCRIPTS = {
     "criterion_v210_c2_4_b1.ndjson": [
         "criterion", "--v=2,1,0", "--c2", "4", "--bound", "1", "--json",
     ],
+    # both hits come out of the closed form with negative entries and are
+    # printed negated, lexicographically positive
+    "criterion_vm3m4m4_c2_2_b100.txt": [
+        "criterion", "--v=-3,-4,-4", "--c2", "2", "--bound", "100",
+    ],
     # imprimitive v: genus and d_square come from v itself, not v / 2
     "criterion_v20m2_c2_8_b5.ndjson": [
         "criterion", "--v=2,0,-2", "--c2", "8", "--bound", "5", "--json",
@@ -70,6 +75,10 @@ TRANSCRIPTS = {
     "equiv_reduced_form.txt": ["equiv", "--f1", "1,0,14", "--f2", "2,0,7"],
     "equiv_reduced_form.ndjson": [
         "equiv", "--f1", "1,0,14", "--f2", "2,0,7", "--json",
+    ],
+    # entries near 5e12 reduce in a few dozen steps to the class of (3, -4, -7)
+    "equiv_large_entries.txt": [
+        "equiv", "--f1=-4997768334588,3331874330749,-2221268736903", "--f2=3,-4,-7",
     ],
     "census_10_10.txt": ["census", "--g-max", "10", "--n-max", "10"],
     "census_10_10.ndjson": ["census", "--g-max", "10", "--n-max", "10", "--json"],
@@ -150,6 +159,9 @@ ERROR_CASES = {
     "criterion_short_vector": ["criterion", "--v=1,2", "--c2", "8"],
     "pair_bad_vector": ["pair", "--v", "1,x,2", "--u", "1,0,1", "--c2", "8"],
     "equiv_missing_flags": ["equiv", "--g", "2"],
+    "equiv_f1_alone": ["equiv", "--f1", "1,0,1"],
+    "criterion_no_flags": ["criterion"],
+    "criterion_g_alone": ["criterion", "--g", "3"],
     # flags that would otherwise be ignored
     "criterion_v_with_g_n": [
         "criterion", "--v=1,0,-1", "--c2", "8", "--g", "7", "--n", "3",
@@ -162,13 +174,13 @@ ERROR_CASES = {
 }
 
 # full 2 <= g, n <= 10 ledger: 7,220 records, 1,144,271 bytes as NDJSON
-FULL_GRID_JSON_SHA256 = "af5bc0f8b3589253f909eccdb8bf95cdf8f91f9aa74368362a08725c8202f9b5"
-FULL_GRID_TABLE_SHA256 = "34b379d6622056284c7badc3641da4953f2236277274b23e8f318f7e36d5af32"
+FULL_GRID_JSON_SHA256 = "4058d663dfb2a7eca5407dc03fa63ea9afd95f8e6b26fdc8bc9bcfc079d3d409"
+FULL_GRID_TABLE_SHA256 = "049e29dcf0538739f8029923870a63d71cc9ec92cf8a5f4a6e2b029a6b740e81"
 # `dual` at its span cap, 41 k by 81 l: 3,321 members, 111,040 bytes as
 # NDJSON and 97,871 as a table
 DUAL_SPAN_CAP = ["dual", "--g", "3", "--n", "2", "--k-min", "-20", "--k-max", "20"]
-DUAL_SPAN_CAP_JSON_SHA256 = "f4c353b80594baef2b9af6ef4bc2fb546aa77ae332760c00126e7fb3ed4fbdc1"
-DUAL_SPAN_CAP_TABLE_SHA256 = "8c399599fdc877413efb406bb3b5e6c7abcf86ae7be2217c706db3a94728832f"
+DUAL_SPAN_CAP_JSON_SHA256 = "4c7bb0394087d5e280711dc3c812bc5c33bfc4b868feb6acba5ad437fb473e65"
+DUAL_SPAN_CAP_TABLE_SHA256 = "6282e179cff9c4678afa30d62e0a4b8172f21693de1aa119ffb9676b10c7b0b4"
 
 
 def stdout_of(capsys, argv) -> str:

@@ -52,6 +52,17 @@ class TestNSGram:
     def test_dot_dimension_mismatch(self):
         with pytest.raises(ValueError):
             G8.dot((1, 2), (1, 2))
+        # one matching length is not enough
+        with pytest.raises(ValueError):
+            NSGram.rank_one(2).dot((1,), (1, 2))
+
+
+class TestMukaiVector:
+    def test_difference_with_nonzero_ranks(self):
+        assert vec(2, 1, 3) - vec(1, 1, 1) == vec(1, 0, 2)
+
+    def test_str_of_rank_two_ns(self):
+        assert str(MukaiVector(0, (1, 0), 5)) == "(0, [1, 0], 5)"
 
 
 class TestPairing:
@@ -146,6 +157,10 @@ class TestFinenessGcd:
 
     def test_hilbert_scheme_fine(self):
         assert fineness_gcd(vec(1, 0, -3), G8) == 1
+
+    def test_degree_is_measured_against_the_generator(self):
+        # c.C = C^2 = 2, so gcd(4, 2, 4); measuring against 2C would give 4
+        assert fineness_gcd(vec(4, 1, 4), NSGram.rank_one(2)) == 2
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

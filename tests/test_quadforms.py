@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import k3mukai.quadforms
 from k3mukai.bb import BBLattice
 from k3mukai.mukai import MukaiVector, NSGram, pairing
 from k3mukai.quadforms import (
@@ -462,6 +463,23 @@ class TestCanonical:
         assert canonical(QuadForm2(2, 2, 2))[0] == QuadForm2(0, 0, 2)
         assert canonical(QuadForm2(-3, 6, -12))[0] == QuadForm2(0, 0, -3)
         assert canonical(QuadForm2(0, 0, 0))[0] == QuadForm2(0, 0, 0)
+
+    def test_reduction_steps_do_not_grow_with_the_entries(self, monkeypatch):
+        # while |c| > 2 sqrt(D), _rho takes r in (-|c|/2, |c|/2], which shrinks
+        # the entries geometrically; r in (sqrt(D) - |c|, sqrt(D)) throughout
+        # reaches the same reduced forms, but in 19,302 steps on this form
+        steps = []
+        original = k3mukai.quadforms._rho
+
+        def counted(f, w):
+            steps.append(f)
+            return original(f, w)
+
+        monkeypatch.setattr(k3mukai.quadforms, "_rho", counted)
+        f = QuadForm2(-4997768334588, 3331874330749, -2221268736903)
+        form, u = canonical(f)
+        assert f.transform(u) == form == QuadForm2(-7, 3, 4)
+        assert len(steps) <= 100  # 30 with the two-sided rule
 
     def test_gl2_is_the_lesser_of_a_form_and_its_mirror(self):
         f = QuadForm2(3, 1, 5)

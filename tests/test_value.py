@@ -37,7 +37,7 @@ SAMPLES = {
     BBClass: lambda: BBClass(1, 2),
     BBLattice: lambda: BBLattice(8, 2),
     IsotropicSearch: lambda: IsotropicSearch((BBClass(1, 2),), True),
-    DualSurfaceReport: lambda: DualSurfaceReport(W, 8, 2, 2, 2, False, 2),
+    DualSurfaceReport: lambda: DualSurfaceReport(8, W, 2, 2, False, 2, 2),
     QuotientClass: lambda: QuotientClass(W, 2),
     ConstraintSolution: lambda: ConstraintSolution(k=0, l=0, de=1, e2=0),
     TransformConstraintFamily: lambda: TransformConstraintFamily(
