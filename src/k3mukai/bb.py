@@ -59,8 +59,8 @@ class IsotropicSearch(Value):
     """Primitive isotropic classes with 0 < a <= bound, plus the closed-form
     existence verdict for the unbounded problem."""
 
-    def __init__(self, classes: tuple[BBClass, ...], exists: bool):
-        Value.__init__(self, classes=classes, exists=exists)
+    def __init__(self, classes: tuple[BBClass, ...], exists_nontrivial: bool):
+        Value.__init__(self, classes=classes, exists_nontrivial=exists_nontrivial)
 
 
 def isotropic_exists(lat: BBLattice) -> bool:
@@ -72,9 +72,9 @@ def find_isotropic(lat: BBLattice, bound: int) -> IsotropicSearch:
     """Primitive isotropic classes (a, b) with 0 < a <= bound.
 
     They are the isotropic lines of diag(c2, -2(g-1)), taken with a > 0 and
-    listed as (a, |b|) then (a, -|b|); the bound only filters them.  The
-    `exists` verdict refers to the unbounded problem, so a true verdict with
-    an empty list only means the bound was too small (a^2 divides 2(g-1)).
+    listed as (a, |b|) then (a, -|b|); the bound only filters them.
+    `exists_nontrivial` refers to the unbounded problem, so true with an
+    empty list only means the bound was too small (a^2 divides 2(g-1)).
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")

@@ -5,9 +5,9 @@ Most checks return (computed, claimed): a raw Mukai-pairing computation on
 explicitly constructed vectors, and the paper's closed form for it.  Three
 return closed-form data alone: `kernel_square_bound` an int,
 `torsion_degree` (degree, allowed) and `brill_noether_data` (rank, degree).
-Four ledger kinds compare two closed forms, `picard_determinants` on its
+Five ledger kinds compare two closed forms, `picard_determinants` on its
 Hilb side only: `brill_noether_unit`, `fujiki_constant_degree`,
-`picard_determinants` and `torsion_degree`.
+`picard_determinants`, `tensor_degree` and `torsion_degree`.
 A (g, n) outside the family raises ValueError in `family_c2`.
 Nothing here decides pass or fail; `cli.ledger_checks` does.
 """

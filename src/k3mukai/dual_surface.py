@@ -51,7 +51,6 @@ __all__ = [
     "quotient_lattice",
     "solve_transform_constraints",
     "family_c2",
-    "family_ranges",
     "family_holds",
     "verify_solution",
     "member_gram",
@@ -70,10 +69,9 @@ class DualSurfaceReport(Value):
     d_ample_assumed = True
 
     def __init__(self, c2: int, w: MukaiVector, d_square: int, gerbe_order: int,
-                 fine: bool, base_dim: int, polarization_dual: int):
+                 fine: bool, base_dim: int):
         Value.__init__(self, c2=c2, w=w, d_square=d_square, gerbe_order=gerbe_order,
-                       fine=fine, base_dim=base_dim,
-                       polarization_dual=polarization_dual)
+                       fine=fine, base_dim=base_dim)
 
 
 class QuotientClass(Value):
@@ -110,17 +108,14 @@ def quotient_lattice(w: MukaiVector, gram: NSGram) -> QuotientClass:
 def build_dual(g: int, n: int) -> DualSurfaceReport:
     """Dual-surface report for C^2 = `family_c2(g, n)`, so g >= 2, n >= 2.
 
-    w, the source Gram and its c2, and the images of w and v = (1, 0, 1-g)
-    come from the transform table at the family member (k, l) = (0, 0).  The
-    dual polarization is the image of C + (C^2/n)(0,0,1) = w - n*v, negated:
-    -((0,0,1) - n*(0,D,k)) has middle component n*D whatever k is.
-    `quotient_lattice` rejects a w that is not primitive and isotropic.
+    w and the source Gram, with its c2, come from the transform table at the
+    family member (k, l) = (0, 0).  `quotient_lattice` rejects a w that is
+    not primitive and isotropic.
 
     The n = 1 and n = 0 situations are classical (compactified Jacobian,
     elliptic K3) and are handled by `general_fibration_criterion` instead.
     """
-    gram, _, table = _transform_data(g, n, _member(n, 0, 0))
-    (w, w_image), (_, v_image), _ = table
+    gram, _, ((w, _), *_) = _transform_data(g, n, _member(n, 0, 0))
     gerbe = fineness_gcd(w, gram)
     quotient = quotient_lattice(w, gram)
     return DualSurfaceReport(
@@ -130,7 +125,6 @@ def build_dual(g: int, n: int) -> DualSurfaceReport:
         gerbe_order=gerbe,
         fine=gerbe == 1,
         base_dim=quotient.square // 2 + 1,
-        polarization_dual=-(w_image - n * v_image).c[0],
     )
 
 
@@ -149,11 +143,12 @@ class ConstraintSolution(Value):
 
 
 class TransformConstraintFamily(Value):
-    """The family's equations and its members; the caller holds (g, n)."""
+    """Dual polarization, constraints and members; the caller holds (g, n)."""
 
-    def __init__(self, equations: tuple[str, ...],
+    def __init__(self, polarization_dual: int, constraints: tuple[str, ...],
                  solutions: tuple[ConstraintSolution, ...]):
-        Value.__init__(self, equations=equations, solutions=solutions)
+        Value.__init__(self, polarization_dual=polarization_dual,
+                       constraints=constraints, solutions=solutions)
 
 
 def family_c2(g: int, n: int) -> int:
@@ -217,33 +212,32 @@ def family_holds(g: int, n: int) -> bool:
     )
 
 
-def family_ranges(k_range: tuple[int, int]) -> tuple[range, range]:
-    """The k and l values the family lists: k in k_range, |l| up to its width."""
-    k_min, k_max = k_range
-    if k_min > k_max:
-        raise ValueError("empty k range")
-    return range(k_min, k_max + 1), range(k_min - k_max, k_max - k_min + 1)
-
-
 def solve_transform_constraints(
     g: int, n: int, k_range: tuple[int, int]
 ) -> TransformConstraintFamily:
     """Constraint family of the transform: de = 1 - n*k, e2 = 2*n*l.
 
-    Emits one solution per (k, l) in `family_ranges(k_range)`.  The family
-    is verified once, for every integer (k, l), by `family_holds`;
-    AssertionError means the parametrization violates the isometry.  k and
-    l stay free parameters by design.
+    Emits one solution per k in k_range and l with |l| up to its width.
+    The family is verified once, for every integer (k, l), by
+    `family_holds`; AssertionError means the parametrization violates the
+    isometry.  k and l stay free parameters by design.  The dual
+    polarization is the image of C + (C^2/n)(0,0,1) = w - n*v, negated, for
+    v = (1, 0, 1-g): -((0,0,1) - n*(0,D,k)) has middle component n*D
+    whatever k is, so the member (0, 0) gives its D coefficient.
     """
-    k_values, l_values = family_ranges(k_range)
+    k_min, k_max = k_range
+    if k_min > k_max:
+        raise ValueError("empty k range")
     if not family_holds(g, n):
         raise AssertionError(f"transform constraint family fails for g={g}, n={n}")
-    solutions = tuple([_member(n, k, l) for k in k_values for l in l_values])
-    equations = (
-        f"de + {n}*k == 1",
-        f"e2 == {2 * n}*l",
-    )
-    return TransformConstraintFamily(equations, solutions)
+    _, _, ((_, w_image), (_, v_image), _) = _transform_data(g, n, _member(n, 0, 0))
+    width = k_max - k_min
+    solutions = tuple([
+        _member(n, k, l) for k in range(k_min, k_max + 1) for l in range(-width, width + 1)
+    ])
+    constraints = (f"de + {n}*k == 1", f"e2 == {2 * n}*l")
+    polarization = -(w_image - n * v_image).c[0]
+    return TransformConstraintFamily(polarization, constraints, solutions)
 
 
 class FibrationHit(Value):

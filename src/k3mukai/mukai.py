@@ -101,7 +101,10 @@ class MukaiVector(Value):
     """
 
     def __init__(self, r: int, c: tuple[int, ...], s: int):
-        Value.__init__(self, r=index(r), c=tuple(map(index, c)), s=index(s))
+        c = tuple(map(index, c))
+        if len(c) not in (1, 2):
+            raise ValueError(f"NS coordinate length must be 1 or 2, got {len(c)}")
+        Value.__init__(self, r=index(r), c=c, s=index(s))
         self.__post_init__()
 
     def __post_init__(self):

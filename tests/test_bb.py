@@ -108,7 +108,7 @@ class TestFindIsotropic:
     def test_motivating_example(self):
         result = find_isotropic(BBLattice(8, 2), 10)
         assert result.classes == (BBClass(1, 2), BBClass(1, -2))
-        assert result.exists
+        assert result.exists_nontrivial
 
     @pytest.mark.parametrize("g", [2, 3, 5])
     def test_unit_multiple_case(self, g):
@@ -118,7 +118,7 @@ class TestFindIsotropic:
     def test_no_solution(self):
         result = find_isotropic(BBLattice(4, 2), 50)
         assert result.classes == ()
-        assert not result.exists
+        assert not result.exists_nontrivial
 
     def test_bound_validated(self):
         with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ class TestFindIsotropic:
                 for bound in (1, 2 * (g - 1), 50):
                     result = find_isotropic(lat, bound)
                     assert result.classes == tuple(c for c in scanned if c.a <= bound)
-                    assert result.exists == exists
+                    assert result.exists_nontrivial == exists
 
     def test_cost_does_not_depend_on_bound(self):
         # a loop over a <= 10^7 takes seconds; the closed form takes microseconds

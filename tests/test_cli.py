@@ -73,6 +73,20 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in out
 
+    def test_broken_kernel_square_bound_is_the_claimed_side(self, capsys, monkeypatch):
+        # the raw scan over N is computed; the closed form is what is claimed
+        monkeypatch.setattr("k3mukai.checks.kernel_square_bound", lambda n, g, length: 99)
+        code, out, _ = run_cli(capsys, "verify-paper", "--g", "3", "--n", "2", "--json")
+        records = [json.loads(line) for line in out.splitlines()]
+        failed = [r for r in records if not r["pass"]]
+        assert code == 1
+        assert [r["inputs"]["check"] for r in failed] == ["kernel_square_bound"] * 3
+        assert [r["outputs"] for r in failed] == [
+            {"computed": 3, "claimed": 99},
+            {"computed": 1, "claimed": 99},
+            {"computed": 0, "claimed": 99},
+        ]
+
 
 class TestPairAndSquare:
     def test_pair_value(self, capsys):
@@ -439,7 +453,7 @@ class TestCensus:
 
 
 # DualSurfaceReport's fields in the order `dual` prints them
-REPORT_FIELDS = ["c2", "w", "d_square", "gerbe_order", "fine", "base_dim", "polarization_dual"]
+REPORT_FIELDS = ["c2", "w", "d_square", "gerbe_order", "fine", "base_dim"]
 
 
 class TestRecordsCarryLibraryValues:
@@ -465,13 +479,18 @@ class TestRecordsCarryLibraryValues:
             family = solve_transform_constraints(g, n, (-2, 2))
             assert list(record["outputs"].items()) == [
                 *vars(report).items(),
+                ("polarization_dual", family.polarization_dual),
                 ("d_ample_assumed", True),
-                ("constraints", family.equations),
+                ("constraints", family.constraints),
                 ("solutions", family.solutions),
             ]
-            # the ledger row and the census row: the report but polarization_dual
-            surface = [(name, getattr(report, name)) for name in REPORT_FIELDS[:-1]]
+            # the ledger row and the census row: the report as built
+            surface = list(vars(report).items())
             assert list(ledger[g, n].items()) == list(census[g, n].items()) == surface
+
+    def test_census_columns_are_the_report_fields(self, capsys):
+        _, table, _ = run_cli(capsys, "census", "--g-max", "2", "--n-max", "2")
+        assert table.splitlines()[0].split() == ["g", "n", *vars(build_dual(2, 2))]
 
     @pytest.mark.parametrize(
         "argv, library",

@@ -5,6 +5,7 @@ against the cube scan it replaced."""
 
 import json
 import time
+from itertools import product
 from math import gcd, isqrt
 
 import pytest
@@ -27,7 +28,6 @@ from k3mukai.dual_surface import (
     build_dual,
     family_c2,
     family_holds,
-    family_ranges,
     general_fibration_criterion,
     member_gram,
     quotient_lattice,
@@ -63,7 +63,7 @@ class TestBuildDual:
         assert report.gerbe_order == 2
         assert report.base_dim == 2
         assert not report.fine
-        assert report.polarization_dual == 2
+        assert solve_transform_constraints(2, 2, (0, 0)).polarization_dual == 2
 
     def test_genus_three(self):
         report = build_dual(3, 2)
@@ -87,7 +87,8 @@ class TestBuildDual:
                 assert report.d_square == 2 * g - 2
                 assert report.base_dim == g
                 assert not report.fine
-                assert report.polarization_dual == n
+                family = solve_transform_constraints(g, n, (0, 0))
+                assert family.polarization_dual == n
 
 
 class TestFamilyC2:
@@ -183,6 +184,30 @@ class TestQuotientLattice:
                         unit_seen = True
                 assert unit_seen
 
+    def test_off_family_quotient_determinant(self):
+        # every primitive isotropic w the criterion finds for v in [-5, 5]^3
+        # (one of each +-v) and even C^2 <= 60: the generator lies in w-perp
+        # and |det(w-perp / w)| = |det L| / div(w)^2 with div(w) = gcd(c C^2, r, s)
+        seen = set()
+        for c2 in range(2, 61, 2):
+            gram = NSGram.rank_one(c2)
+            for v in product(range(-5, 6), repeat=3):
+                if v <= (0, 0, 0) or gcd(*v) != 1:
+                    continue
+                v = MukaiVector(v[0], (v[1],), v[2])
+                if square(v, gram) <= 0:
+                    continue
+                for hit in general_fibration_criterion(v, gram, 10**9).hits:
+                    if (hit.w, c2) in seen:
+                        continue
+                    seen.add((hit.w, c2))
+                    result = quotient_lattice(hit.w, gram)
+                    assert pairing(hit.w, result.generator_image, gram) == 0
+                    assert square(result.generator_image, gram) == result.square
+                    assert result.square * fineness_gcd(hit.w, gram) ** 2 == c2
+        assert (MukaiVector(0, (0,), 1), 2) in seen  # the b2.s branch
+        assert len(seen) > 1000
+
 
 def unit_pairing(g, n, sol):
     """The deleted library route, kept as an oracle: the pairing
@@ -235,20 +260,19 @@ class TestTransformConstraints:
         assert all(unit_pairing(3, 4, s) == 1 for s in family.solutions)
 
     def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty k range"):
             solve_transform_constraints(2, 2, (3, 1))
-        with pytest.raises(ValueError):
-            family_ranges((3, 1))
 
-    def test_family_ranges_size_the_family(self):
-        for k_range in [(0, 0), (-3, 3), (2, 5)]:
-            k_values, l_values = family_ranges(k_range)
-            family = solve_transform_constraints(3, 2, k_range)
+    def test_members_span_k_range_and_its_width_in_l(self):
+        for (k_min, k_max), size in [((0, 0), 1), ((-3, 3), 7 * 13), ((2, 5), 4 * 7)]:
+            width = k_max - k_min
+            family = solve_transform_constraints(3, 2, (k_min, k_max))
             assert [(s.k, s.l) for s in family.solutions] == [
-                (k, l) for k in k_values for l in l_values
+                (k, l) for k in range(k_min, k_max + 1) for l in range(-width, width + 1)
             ]
-        k_values, l_values = family_ranges((-3, 3))
-        assert (len(k_values), len(l_values)) == (7, 13)
+            assert len(family.solutions) == size
+            assert family.constraints == ("de + 2*k == 1", "e2 == 4*l")
+            assert family.polarization_dual == 2
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

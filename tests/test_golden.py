@@ -173,9 +173,9 @@ ERROR_CASES = {
     "census_g_max_above_cap": ["census", "--g-max", "101"],
 }
 
-# full 2 <= g, n <= 10 ledger: 7,220 records, 1,144,271 bytes as NDJSON
-FULL_GRID_JSON_SHA256 = "4058d663dfb2a7eca5407dc03fa63ea9afd95f8e6b26fdc8bc9bcfc079d3d409"
-FULL_GRID_TABLE_SHA256 = "049e29dcf0538739f8029923870a63d71cc9ec92cf8a5f4a6e2b029a6b740e81"
+# full 2 <= g, n <= 10 ledger: 7,220 records, 1,145,567 bytes as NDJSON
+FULL_GRID_JSON_SHA256 = "b21d13682cdbd3de1aef67278f7bb84ae5f3ffeda2bb830311d2fa79c8085a6e"
+FULL_GRID_TABLE_SHA256 = "7ed3ebb5167d3474e6e67318a9c2bb43b9aa373a3e226b8ccbcd9f1e20ea333e"
 # `dual` at its span cap, 41 k by 81 l: 3,321 members, 111,040 bytes as
 # NDJSON and 97,871 as a table
 DUAL_SPAN_CAP = ["dual", "--g", "3", "--n", "2", "--k-min", "-20", "--k-max", "20"]

@@ -64,6 +64,11 @@ class TestMukaiVector:
     def test_str_of_rank_two_ns(self):
         assert str(MukaiVector(0, (1, 0), 5)) == "(0, [1, 0], 5)"
 
+    @pytest.mark.parametrize("c", [(), (1, 0, 0)])
+    def test_rejects_ns_length_other_than_one_or_two(self, c):
+        with pytest.raises(ValueError, match="NS coordinate length must be 1 or 2"):
+            MukaiVector(1, c, 1)
+
 
 class TestPairing:
     def test_w_is_isotropic(self):

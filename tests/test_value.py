@@ -36,12 +36,12 @@ SAMPLES = {
     ),
     BBClass: lambda: BBClass(1, 2),
     BBLattice: lambda: BBLattice(8, 2),
-    IsotropicSearch: lambda: IsotropicSearch((BBClass(1, 2),), True),
-    DualSurfaceReport: lambda: DualSurfaceReport(8, W, 2, 2, False, 2, 2),
+    IsotropicSearch: lambda: IsotropicSearch((BBClass(1, 2),), exists_nontrivial=True),
+    DualSurfaceReport: lambda: DualSurfaceReport(8, W, 2, 2, False, 2),
     QuotientClass: lambda: QuotientClass(W, 2),
     ConstraintSolution: lambda: ConstraintSolution(k=0, l=0, de=1, e2=0),
     TransformConstraintFamily: lambda: TransformConstraintFamily(
-        ("de + 2*k == 1",), (SOLUTION,)
+        2, ("de + 2*k == 1", "e2 == 4*l"), (SOLUTION,)
     ),
     FibrationHit: lambda: FibrationHit(W, "dual-surface", d_square=2, gerbe_order=2),
     CriterionReport: lambda: CriterionReport(2, ()),
