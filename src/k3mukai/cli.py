@@ -1,8 +1,9 @@
 """Command line for the lattice toolkit.
 
 Subcommands cover single computations (pair, square, isotropic, dual,
-criterion, equiv), the full verification ledger (verify-paper), and the
-(g, n) census.  `_SUBCOMMANDS` declares each one once, with its `--help`
+criterion, equiv), the full verification ledger (verify-paper: `checks`
+yields its rows and `ledger_checks` decides each one), and the (g, n)
+census.  `_SUBCOMMANDS` declares each one once, with its `--help`
 line and its flags; `main` runs its handler `cmd_<name>`, which returns
 the records.  A record is the dict
 {"command": str, "inputs": dict, "outputs": dict, "pass": bool?}
@@ -26,14 +27,7 @@ import sys
 # library name is imported in the body of the function that calls it: a call
 # loads only the modules its subcommand runs, and reads each name off its home
 # module when it runs, which is where perfbench's tracer wraps it.
-from .mukai import (
-    MukaiVector,
-    NSGram,
-    euler_characteristic,
-    is_primitive,
-    pairing,
-    square,
-)
+from .mukai import MukaiVector, NSGram, pairing, square
 
 __all__ = ["ledger_checks", "census_records", "main"]
 
@@ -67,114 +61,10 @@ def _format_value(value) -> str:
 # verification ledger
 
 
-def _equal(computed, claimed, **extra) -> tuple[dict, tuple]:
-    """The outputs and the one claim of a record that checks computed == claimed."""
-    return {"computed": computed, "claimed": claimed, **extra}, ((computed, claimed),)
-
-
-def _point_checks(g: int, n: int):
-    """Every ledger check at one (g, n) grid point, as (check, inputs,
-    outputs, claims); `claims` holds (computed, claimed) pairs."""
-    from .bb import BBLattice, fujiki_degree
-    from .checks import (
-        brill_noether_data,
-        double_dual_square,
-        extension_square,
-        kernel_square,
-        kernel_square_bound,
-        tensor_degree_check,
-        torsion_degree,
-    )
-    from .dual_surface import build_dual, family_holds
-    from .quadforms import equivalent, gen_picard_determinant, picard_scheme_form
-
-    c2 = 2 * (g - 1) * n * n
-    gram = NSGram.rank_one(c2)
-    report = build_dual(g, n)
-    w = report.w
-
-    yield "dual_surface", {}, {**vars(report)}, ((report.fine, False),)
-    yield "w_isotropic", {}, *_equal(square(w, gram), 0)
-    yield "w_primitive", {}, *_equal(is_primitive(w), True)
-    yield "gerbe_order", {}, *_equal(report.gerbe_order, n)
-    yield "dual_curve_square", {}, *_equal(report.d_square, 2 * g - 2)
-    yield "euler_characteristic", {}, *_equal(euler_characteristic(w, gram), g * n)
-    yield "base_dimension", {}, *_equal(report.base_dim, g)
-
-    # Fujiki degree trichotomy on Pic(Hilb^g S) = diag(c2, -2(g-1)), which the
-    # Picard-form records compare too; q_mixed polarizes ample (1, 0), isotropic (1, n)
-    hilb = BBLattice(c2, g).form
-    q_ample = hilb.value(1, 0)
-    q_iso = hilb.value(1, n)
-    q_mixed = (hilb.value(2, n) - q_ample - q_iso) // 2
-    yield "fujiki_isotropic_degree", {}, *_equal(
-        fujiki_degree(q_ample, q_mixed, q_iso, g), g, q_isotropic=q_iso
-    )
-    yield "fujiki_ample_degree", {}, *_equal(
-        fujiki_degree(q_ample, q_mixed, q_ample, g), 2 * g
-    )
-    yield "fujiki_constant_degree", {}, *_equal(fujiki_degree(q_ample, 0, 0, g), 0)
-
-    for length in range(0, 4):
-        computed, claimed = double_dual_square(n, g, length)
-        violation = computed < -2
-        outputs, claims = _equal(computed, claimed, bogomolov_violation=violation)
-        yield "double_dual_square", {"length": length}, outputs, (
-            *claims, (violation, length > 0)
-        )
-
-    yield "extension_square", {}, *_equal(*extension_square(n, g))
-
-    for length in range(0, 3):
-        expected_bound = 0  # raw route: the largest N whose square is >= -2
-        for big_n in range(1, 2 * g + 1):
-            computed, claimed = kernel_square(big_n, n, g, length)
-            if computed >= -2:
-                expected_bound = big_n
-            yield "kernel_square", {"N": big_n, "length": length}, *_equal(
-                computed, claimed
-            )
-        yield "kernel_square_bound", {"length": length}, *_equal(
-            expected_bound, kernel_square_bound(n, g, length)
-        )
-
-    for m in range(1, 13):
-        if c2 % m:
-            continue
-        degree, allowed = torsion_degree(g, n, m)
-        yield "torsion_degree", {"m": m}, {"degree": degree, "allowed": allowed}, (
-            (degree * m, c2), (allowed, m == 1)
-        )
-
-    yield "tensor_degree", {}, *_equal(*tensor_degree_check(g, n))
-
-    rank, degree = brill_noether_data(g, n)
-    yield "brill_noether_unit", {}, *_equal(
-        degree - (g - 1) * rank, 1, rank=rank, degree=degree
-    )
-
-    hilb_det = gen_picard_determinant(c2)
-    dual_det = gen_picard_determinant(report.d_square)
-    distinct = hilb_det != dual_det
-    outputs = {"hilb_det": hilb_det, "dual_det": dual_det, "distinct": distinct}
-    yield "picard_determinants", {}, outputs, (
-        (hilb_det, -c2), (dual_det, -(2 * g - 2)), (distinct, True)
-    )
-
-    for d in range(0, 4 * g + 1):
-        scheme = picard_scheme_form(g, d)
-        verdict = equivalent(hilb, scheme.form)
-        outputs = {"verdict": verdict.verdict, "certificate": verdict.certificate,
-                   "determinants": verdict.values}
-        yield "picard_form_inequivalence", {"d": d}, outputs, (
-            (verdict.verdict, "not_equivalent"), (verdict.certificate, "determinant")
-        )
-
-    yield "transform_constraints", {}, *_equal(family_holds(g, n), True)
-
-
 def ledger_checks(g_values, n_values) -> list[dict]:
     """The ledger over a (g, n) grid; a record passes when all its claims hold."""
+    from .checks import _point_checks
+
     return [
         {
             "command": "verify-paper",

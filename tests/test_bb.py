@@ -18,6 +18,7 @@ from k3mukai.bb import (
     isotropic_exists,
     perp_basis,
 )
+from k3mukai.dual_surface import general_fibration_criterion
 from k3mukai.mukai import MukaiVector, NSGram, pairing
 from k3mukai.quadforms import QuadForm2
 
@@ -270,6 +271,29 @@ class TestVperpGram:
                         assert coords is not None
                         alpha, beta = coords
                         assert alpha.denominator == 1 and beta.denominator == 1
+
+    def test_isotropy_of_bb_lattice_is_criterion_of_hilbert_vector(self):
+        # v = (1, 0, 1-g) has complement basis (0, 1, 0), (1, 0, g-1) with Gram
+        # BBLattice(c2, g).form, so (a, b) -> (b, a, (g-1)b) carries the
+        # isotropic classes of `isotropic` onto the hits of `criterion`
+        huge, with_lines = 10**12, 0
+        for g in range(2, 31):
+            v = MukaiVector(1, (0,), 1 - g)
+            for c2 in range(2, 801, 2):
+                gram, lat = NSGram.rank_one(c2), BBLattice(c2, g)
+                basis = perp_basis(v, gram)
+                assert basis == (MukaiVector(0, (1,), 0), MukaiVector(1, (0,), g - 1))
+                assert _basis_form(*basis, gram) == lat.form
+                search = find_isotropic(lat, huge)
+                mapped = []
+                for cls in search.classes:
+                    w = (cls.b, cls.a, (g - 1) * cls.b)
+                    mapped.append(w if w > (0, 0, 0) else tuple(-x for x in w))
+                hits = general_fibration_criterion(v, gram, huge).hits
+                assert sorted(mapped) == [hit.w.components() for hit in hits]
+                assert search.exists_nontrivial == bool(hits)
+                with_lines += bool(hits)
+        assert with_lines == 274
 
     def test_gl2_class_stable_under_basis_change(self):
         v, gram = MukaiVector(1, (0,), -1), NSGram.rank_one(8)

@@ -26,7 +26,7 @@ class TestDoubleDualSquare:
         assert computed == claimed == 0
 
     def test_direct_recomputation(self):
-        computed, _ = double_dual_square(3, 4, 2)
+        computed, _ = double_dual_square(4, 3, 2)
         assert computed == -12 == -2 * 3 * 2
         # third route: raw pairing on the explicit vector
         gram = NSGram.rank_one(2 * 3 * 9)
@@ -36,13 +36,13 @@ class TestDoubleDualSquare:
         for g in range(2, 21):
             for n in range(2, 21):
                 for length in range(0, 6):
-                    computed, claimed = double_dual_square(n, g, length)
+                    computed, claimed = double_dual_square(g, n, length)
                     assert computed == claimed
                     assert (computed < -2) == (length > 0)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            double_dual_square(1, 2, 0)
+            double_dual_square(2, 1, 0)
         with pytest.raises(ValueError):
             double_dual_square(2, 2, -1)
 
@@ -52,12 +52,12 @@ class TestExtensionSquare:
         assert extension_square(2, 2)[0] == -10
 
     def test_genus_three(self):
-        assert extension_square(2, 3)[0] == -14
+        assert extension_square(3, 2)[0] == -14
 
     def test_grid(self):
         for g in range(2, 21):
             for n in range(2, 21):
-                computed, claimed = extension_square(n, g)
+                computed, claimed = extension_square(g, n)
                 assert computed == claimed
                 assert computed == -2 * (n * g + 1) < -2
 
@@ -83,14 +83,14 @@ class TestKernelSquare:
             for g in (2, 5):
                 computed, _ = kernel_square(g, n, g, 0)
                 assert computed == -2
-                assert kernel_square_bound(n, g, 0) == g
+                assert kernel_square_bound(g, n, 0) == g
 
     def test_exclusion_above_g(self):
-        computed, _ = kernel_square(3, 2, 2, 0)
+        computed, _ = kernel_square(2, 2, 3, 0)
         assert computed == -4 < -2
 
     def test_positive_square_example(self):
-        computed, _ = kernel_square(1, 2, 5, 1)
+        computed, _ = kernel_square(5, 2, 1, 1)
         assert computed == 2 == -2 - 4 + 8
 
     def test_matches_explicit_vector_square(self):
@@ -104,7 +104,7 @@ class TestKernelSquare:
             - MukaiVector(0, (1, 0), -k)
             + MukaiVector(0, (0, 0), length)
         )
-        computed, _ = kernel_square(N, n, g, length)
+        computed, _ = kernel_square(g, n, N, length)
         assert square(vec, gram) == computed
 
     def test_one_member_matches_scan_of_family(self):
@@ -115,7 +115,7 @@ class TestKernelSquare:
             for n in range(2, 7):
                 for length in range(0, 3):
                     for N in range(1, 2 * g + 1):
-                        computed, _ = kernel_square(N, n, g, length)
+                        computed, _ = kernel_square(g, n, N, length)
                         scanned = kernel_square_scan(N, n, g, length, members)
                         assert scanned == {computed}
 
@@ -123,17 +123,17 @@ class TestKernelSquare:
         for g in range(2, 21):
             for n in range(2, 21):
                 for length in range(0, 6):
-                    n_max = kernel_square_bound(n, g, length)
+                    n_max = kernel_square_bound(g, n, length)
                     assert n_max == g // (1 + n * length)
                     for N in range(1, 2 * g + 1):
-                        computed, claimed = kernel_square(N, n, g, length)
+                        computed, claimed = kernel_square(g, n, N, length)
                         assert computed == claimed
                         # the bound is sharp: N <= n_max iff square >= -2
                         assert (computed >= -2) == (N <= n_max)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            kernel_square(0, 2, 2, 0)
+            kernel_square(2, 2, 0, 0)
         with pytest.raises(ValueError):
             kernel_square_bound(2, 2, -1)
 

@@ -64,8 +64,8 @@ class TestExitCodes:
         # sabotage one check so the ledger honestly reports a failure
         original = k3mukai.checks.extension_square
 
-        def broken(n, g):
-            computed, claimed = original(n, g)
+        def broken(g, n):
+            computed, claimed = original(g, n)
             return computed, claimed + 1
 
         monkeypatch.setattr("k3mukai.checks.extension_square", broken)
@@ -75,7 +75,7 @@ class TestExitCodes:
 
     def test_broken_kernel_square_bound_is_the_claimed_side(self, capsys, monkeypatch):
         # the raw scan over N is computed; the closed form is what is claimed
-        monkeypatch.setattr("k3mukai.checks.kernel_square_bound", lambda n, g, length: 99)
+        monkeypatch.setattr("k3mukai.checks.kernel_square_bound", lambda g, n, length: 99)
         code, out, _ = run_cli(capsys, "verify-paper", "--g", "3", "--n", "2", "--json")
         records = [json.loads(line) for line in out.splitlines()]
         failed = [r for r in records if not r["pass"]]
@@ -329,15 +329,16 @@ class TestVerifyPaper:
 
 # Each wrapper breaks exactly one claim of a record kind that makes more than
 # one (computed, claimed) claim; it replaces a name in its home module, where
-# k3mukai.cli looks it up.
+# k3mukai.checks._point_checks looks it up: the seven checks as module globals
+# of `checks`, every other library name by an import at each call.
 def fine_dual(build_dual):
     return lambda g, n: DualSurfaceReport(**{**vars(build_dual(g, n)), "fine": True})
 
 
 def violation_at_length_zero(double_dual_square):
     # the square equals its claim, so only the Bogomolov-violation claim breaks
-    def broken(n, g, length):
-        return (-4, -4) if length == 0 else double_dual_square(n, g, length)
+    def broken(g, n, length):
+        return (-4, -4) if length == 0 else double_dual_square(g, n, length)
     return broken
 
 
@@ -378,6 +379,31 @@ def test_one_broken_claim_fails_only_its_kind(capsys, monkeypatch, kind, name, b
     records = [json.loads(line) for line in out.splitlines()]
     assert code == 1
     assert {r["inputs"]["check"] for r in records if not r["pass"]} == {kind}
+
+
+# the library names `_point_checks` imports at each call
+LEDGER_LOOKUPS = [
+    "BBLattice", "fujiki_degree", "build_dual", "family_holds",
+    "equivalent", "gen_picard_determinant", "picard_scheme_form",
+]
+
+
+def test_ledger_reads_each_name_off_its_home_module(monkeypatch):
+    # a name bound at import would skip a replacement in its home module, which
+    # the broken-claim test above and perfbench's tracer both rely on
+    calls = dict.fromkeys(LEDGER_LOOKUPS, 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in LEDGER_LOOKUPS:
+        home = sys.modules[getattr(k3mukai, name).__module__]
+        monkeypatch.setattr(home, name, counting(name, getattr(home, name)))
+    assert all(record["pass"] for record in ledger_checks([3], [2]))
+    assert [name for name, count in calls.items() if count == 0] == []
 
 
 class TestCensus:

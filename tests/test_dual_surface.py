@@ -3,6 +3,7 @@ oracle, the transform constraint family against an exhaustive box search,
 and the general fibration criterion against an independent search and
 against the cube scan it replaced."""
 
+import inspect
 import json
 import time
 from itertools import product
@@ -11,6 +12,7 @@ from math import gcd, isqrt
 import pytest
 
 import k3mukai.bb
+import k3mukai.checks
 import k3mukai.dual_surface
 from k3mukai.checks import (
     brill_noether_data,
@@ -98,8 +100,8 @@ class TestFamilyC2:
                 assert family_c2(g, n) == 2 * (g - 1) * n * n
                 assert build_dual(g, n).c2 == family_c2(g, n)
 
-    # every routine of the family, and each of the seven checks, takes its
-    # domain from family_c2
+    # every routine of the family, each of the seven checks and the ledger's
+    # rows take their domain from family_c2
     @pytest.mark.parametrize(
         "call",
         [
@@ -107,13 +109,14 @@ class TestFamilyC2:
             lambda g, n: verify_solution(g, n, ConstraintSolution(0, 0, 1, 0)),
             family_holds,
             member_gram,
-            lambda g, n: double_dual_square(n, g, 0),
-            lambda g, n: extension_square(n, g),
+            lambda g, n: double_dual_square(g, n, 0),
+            extension_square,
             lambda g, n: torsion_degree(g, n, 1),
-            lambda g, n: kernel_square(1, n, g, 0),
-            lambda g, n: kernel_square_bound(n, g, 0),
+            lambda g, n: kernel_square(g, n, 1, 0),
+            lambda g, n: kernel_square_bound(g, n, 0),
             tensor_degree_check,
             brill_noether_data,
+            lambda g, n: list(k3mukai.checks._point_checks(g, n)),
         ],
         ids=[
             "family_c2",
@@ -127,12 +130,28 @@ class TestFamilyC2:
             "kernel_square_bound",
             "tensor_degree_check",
             "brill_noether_data",
+            "_point_checks",
         ],
     )
     @pytest.mark.parametrize("bad", [(1, 2), (2, 1), (0, 5), (2, 0)])
     def test_out_of_range(self, call, bad):
         with pytest.raises(ValueError):
             call(*bad)
+
+    def test_every_family_routine_takes_g_then_n(self):
+        # g and n are both integers >= 2, so a call that swaps them returns a
+        # wrong number and raises nothing; one order everywhere rules that out
+        routines = [
+            family_c2, build_dual, member_gram, verify_solution, family_holds,
+            solve_transform_constraints, double_dual_square, extension_square,
+            kernel_square, kernel_square_bound, torsion_degree,
+            tensor_degree_check, brill_noether_data,
+        ]
+        out_of_order = [
+            f.__name__ for f in routines
+            if list(inspect.signature(f).parameters)[:2] != ["g", "n"]
+        ]
+        assert out_of_order == []
 
 
 class TestQuotientLattice:
