@@ -1,13 +1,14 @@
 """Recomputable numeric checks behind the stability and section-counting
 arguments.
 
-Most checks return (computed, claimed): a raw Mukai-pairing computation on
+Three checks return (computed, claimed): a raw Mukai-pairing computation on
 explicitly constructed vectors, and the paper's closed form for it.  Three
 return closed-form data alone: `kernel_square_bound` an int,
 `torsion_degree` (degree, allowed) and `brill_noether_data` (rank, degree).
-Five ledger kinds compare two closed forms, `picard_determinants` on its
+Four ledger kinds compare two closed forms, `picard_determinants` on its
 Hilb side only: `brill_noether_unit`, `fujiki_constant_degree`,
-`picard_determinants`, `tensor_degree` and `torsion_degree`.
+`picard_determinants` and `torsion_degree`.  `tensor_degree` reads D^2
+from `build_dual`, the computed square of the w-perp/w generator.
 A (g, n) outside the family raises ValueError in `family_c2`; every check
 takes (g, n) first, as the family routines of `dual_surface` do.
 
@@ -27,7 +28,6 @@ __all__ = [
     "kernel_square",
     "kernel_square_bound",
     "torsion_degree",
-    "tensor_degree_check",
     "brill_noether_data",
 ]
 
@@ -100,17 +100,6 @@ def torsion_degree(g: int, n: int, m: int) -> tuple[int, bool]:
     if remainder:
         raise ValueError(f"{m} does not divide {total}")
     return degree, m == 1
-
-
-def tensor_degree_check(g: int, n: int) -> tuple[int, int]:
-    """Degree n^2 D^2 of the twisted tensor product, against C^2.
-
-    The raw route measures the class n*D against the polarization n*D in
-    the `member_gram` of the family member (k, l) = (0, 0) (the answer does
-    not involve its D.E or E^2 entries); the closed form is
-    C^2 = 2(g-1)n^2 on the source side.
-    """
-    return member_gram(g, n).dot((n, 0), (n, 0)), 2 * (g - 1) * n * n
 
 
 def brill_noether_data(g: int, n: int) -> tuple[int, int]:
@@ -191,7 +180,7 @@ def _point_checks(g: int, n: int):
             (degree * m, c2), (allowed, m == 1)
         )
 
-    yield "tensor_degree", {}, *_equal(*tensor_degree_check(g, n))
+    yield "tensor_degree", {}, *_equal(n * n * report.d_square, c2)
 
     rank, degree = brill_noether_data(g, n)
     yield "brill_noether_unit", {}, *_equal(

@@ -283,7 +283,7 @@ def general_fibration_criterion(
     if gram.entries[0][0] <= 0:
         raise ValueError("criterion requires C^2 > 0")
     sq = square(v, gram)
-    if sq <= 0 or sq % 2:
+    if sq <= 0:
         raise ValueError("need square(v) = 2g - 2 > 0")
     content = gcd(*v.components())
     r, c, s = (x // content for x in v.components())

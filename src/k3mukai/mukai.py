@@ -120,12 +120,7 @@ class MukaiVector(Value):
         )
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        self._check_rank(other)
-        return MukaiVector(
-            self.r - other.r,
-            tuple(a - b for a, b in zip(self.c, other.c)),
-            self.s - other.s,
-        )
+        return self + -other
 
     def __neg__(self) -> "MukaiVector":
         return MukaiVector(-self.r, tuple(-x for x in self.c), -self.s)

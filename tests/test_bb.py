@@ -190,6 +190,10 @@ class TestFujikiDegree:
         with pytest.raises(ValueError):
             fujiki_degree(0, 0, 0, 3)
 
+    def test_rejects_genus_zero(self):
+        with pytest.raises(ValueError, match="g must be at least 1"):
+            fujiki_degree(1, 0, 0, 0)
+
     def test_trichotomy_small_grid(self):
         for qH in range(-4, 5):
             for qHL in range(-4, 5):
@@ -248,6 +252,10 @@ class TestVperpGram:
     def test_rejects_imprimitive(self):
         with pytest.raises(ValueError):
             perp_basis(MukaiVector(2, (0,), 2), NSGram.rank_one(8))
+
+    def test_rejects_rank_two_ns(self):
+        with pytest.raises(ValueError, match="requires a rank-one NS lattice"):
+            perp_basis(MukaiVector(1, (0, 0), 1), NSGram.rank_two(2, 1, 0))
 
     def test_basis_is_orthogonal_to_v_and_spans(self):
         gram = NSGram.rank_one(12)

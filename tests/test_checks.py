@@ -8,7 +8,6 @@ from k3mukai.checks import (
     extension_square,
     kernel_square,
     kernel_square_bound,
-    tensor_degree_check,
     torsion_degree,
 )
 from k3mukai.mukai import MukaiVector, NSGram, square
@@ -166,22 +165,6 @@ class TestTorsionDegree:
                     degree, allowed = torsion_degree(g, n, m)
                     assert degree * m == total
                     assert allowed == (m == 1)
-
-
-class TestTensorDegree:
-    def test_motivating_example(self):
-        computed, claimed = tensor_degree_check(2, 2)
-        assert computed == claimed == 8
-
-    def test_larger_example(self):
-        computed, claimed = tensor_degree_check(5, 3)
-        assert computed == claimed == 72
-
-    def test_identity_on_grid(self):
-        for g in range(2, 21):
-            for n in range(2, 21):
-                computed, claimed = tensor_degree_check(g, n)
-                assert computed == claimed
 
 
 class TestBrillNoetherData:

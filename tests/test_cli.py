@@ -329,7 +329,7 @@ class TestVerifyPaper:
 
 # Each wrapper breaks exactly one claim of a record kind that makes more than
 # one (computed, claimed) claim; it replaces a name in its home module, where
-# k3mukai.checks._point_checks looks it up: the seven checks as module globals
+# k3mukai.checks._point_checks looks it up: the six checks as module globals
 # of `checks`, every other library name by an import at each call.
 def fine_dual(build_dual):
     return lambda g, n: DualSurfaceReport(**{**vars(build_dual(g, n)), "fine": True})
@@ -379,6 +379,18 @@ def test_one_broken_claim_fails_only_its_kind(capsys, monkeypatch, kind, name, b
     records = [json.loads(line) for line in out.splitlines()]
     assert code == 1
     assert {r["inputs"]["check"] for r in records if not r["pass"]} == {kind}
+
+
+def test_wrong_dual_square_fails_every_row_that_reads_it(monkeypatch):
+    # tensor_degree measures n^2 D^2 with the D^2 build_dual computed, so a
+    # wrong D^2 fails it beside the two rows that already checked that D^2
+    def wrong_d_square(g, n):
+        report = build_dual(g, n)
+        return DualSurfaceReport(**{**vars(report), "d_square": report.d_square + 2})
+
+    monkeypatch.setattr(k3mukai.dual_surface, "build_dual", wrong_d_square)
+    failing = {r["inputs"]["check"] for r in ledger_checks([3], [2]) if not r["pass"]}
+    assert failing == {"dual_curve_square", "picard_determinants", "tensor_degree"}
 
 
 # the library names `_point_checks` imports at each call

@@ -20,7 +20,6 @@ from k3mukai.checks import (
     extension_square,
     kernel_square,
     kernel_square_bound,
-    tensor_degree_check,
     torsion_degree,
 )
 from k3mukai.cli import main
@@ -100,7 +99,7 @@ class TestFamilyC2:
                 assert family_c2(g, n) == 2 * (g - 1) * n * n
                 assert build_dual(g, n).c2 == family_c2(g, n)
 
-    # every routine of the family, each of the seven checks and the ledger's
+    # every routine of the family, each of the six checks and the ledger's
     # rows take their domain from family_c2
     @pytest.mark.parametrize(
         "call",
@@ -114,7 +113,6 @@ class TestFamilyC2:
             lambda g, n: torsion_degree(g, n, 1),
             lambda g, n: kernel_square(g, n, 1, 0),
             lambda g, n: kernel_square_bound(g, n, 0),
-            tensor_degree_check,
             brill_noether_data,
             lambda g, n: list(k3mukai.checks._point_checks(g, n)),
         ],
@@ -128,7 +126,6 @@ class TestFamilyC2:
             "torsion_degree",
             "kernel_square",
             "kernel_square_bound",
-            "tensor_degree_check",
             "brill_noether_data",
             "_point_checks",
         ],
@@ -145,7 +142,7 @@ class TestFamilyC2:
             family_c2, build_dual, member_gram, verify_solution, family_holds,
             solve_transform_constraints, double_dual_square, extension_square,
             kernel_square, kernel_square_bound, torsion_degree,
-            tensor_degree_check, brill_noether_data,
+            brill_noether_data,
         ]
         out_of_order = [
             f.__name__ for f in routines
@@ -495,6 +492,12 @@ class TestGeneralFibrationCriterion:
                     expected.add(MukaiVector(r, (c,), s))
         report = general_fibration_criterion(v, gram, bound)
         assert {h.w for h in report.hits} == expected
+
+    def test_rejects_rank_two_ns(self):
+        with pytest.raises(ValueError, match="criterion requires a rank-one NS lattice"):
+            general_fibration_criterion(
+                MukaiVector(1, (0, 0), 1), NSGram.rank_two(2, 1, 0), 3
+            )
 
     def test_rejects_nonpositive_c2(self):
         # C^2 <= 0 leaves the paper's setting, and v-perp may be degenerate

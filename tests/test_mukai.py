@@ -49,6 +49,10 @@ class TestNSGram:
         with pytest.raises(ValueError):
             NSGram(((2, 0, 0), (0, 2, 0), (0, 0, 2)))
 
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="Gram matrix must be square"):
+            NSGram(((2, 0), (0,)))
+
     def test_dot_dimension_mismatch(self):
         with pytest.raises(ValueError):
             G8.dot((1, 2), (1, 2))
@@ -60,6 +64,13 @@ class TestNSGram:
 class TestMukaiVector:
     def test_difference_with_nonzero_ranks(self):
         assert vec(2, 1, 3) - vec(1, 1, 1) == vec(1, 0, 2)
+
+    @pytest.mark.parametrize("combine", [
+        lambda v, u: v + u, lambda v, u: v - u,
+    ], ids=["add", "sub"])
+    def test_rejects_ns_length_mismatch(self, combine):
+        with pytest.raises(ValueError, match="NS coordinate lengths differ"):
+            combine(MukaiVector(1, (0,), 1), MukaiVector(1, (0, 0), 1))
 
     def test_str_of_rank_two_ns(self):
         assert str(MukaiVector(0, (1, 0), 5)) == "(0, [1, 0], 5)"

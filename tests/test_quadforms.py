@@ -139,6 +139,10 @@ class TestPicardSchemeForm:
         assert (result.a0, result.b0, result.ell) == (2, 1, 1)
         assert result.form == QuadForm2(0, -2, 2)
 
+    def test_rejects_genus_one(self):
+        with pytest.raises(ValueError, match="picard_scheme_form requires g >= 2"):
+            picard_scheme_form(1, 0)
+
     def test_degenerate_degree(self):
         # d + 1 - g = 0: the gcd(x, 0) = |x| convention applies
         result = picard_scheme_form(2, 1)
