@@ -112,7 +112,8 @@ class MukaiVector(Value):
         to count the vectors built."""
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        self._check_rank(other)
+        if len(self.c) != len(other.c):
+            raise ValueError("NS coordinate lengths differ")
         return MukaiVector(
             self.r + other.r,
             tuple(a + b for a, b in zip(self.c, other.c)),
@@ -131,10 +132,6 @@ class MukaiVector(Value):
         )
 
     __rmul__ = __mul__
-
-    def _check_rank(self, other: "MukaiVector") -> None:
-        if len(self.c) != len(other.c):
-            raise ValueError("NS coordinate lengths differ")
 
     def is_zero(self) -> bool:
         return self.r == 0 and self.s == 0 and not any(self.c)

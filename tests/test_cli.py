@@ -63,29 +63,12 @@ class TestExitCodes:
     def test_verification_failure_is_exit_one(self, capsys, monkeypatch):
         # sabotage one check so the ledger honestly reports a failure
         original = k3mukai.checks.extension_square
-
-        def broken(g, n):
-            computed, claimed = original(g, n)
-            return computed, claimed + 1
-
-        monkeypatch.setattr("k3mukai.checks.extension_square", broken)
+        monkeypatch.setattr(
+            "k3mukai.checks.extension_square", lambda g, n: original(g, n) + 1
+        )
         code, out, _ = run_cli(capsys, "verify-paper", "--g", "2", "--n", "2")
         assert code == 1
         assert "FAIL" in out
-
-    def test_broken_kernel_square_bound_is_the_claimed_side(self, capsys, monkeypatch):
-        # the raw scan over N is computed; the closed form is what is claimed
-        monkeypatch.setattr("k3mukai.checks.kernel_square_bound", lambda g, n, length: 99)
-        code, out, _ = run_cli(capsys, "verify-paper", "--g", "3", "--n", "2", "--json")
-        records = [json.loads(line) for line in out.splitlines()]
-        failed = [r for r in records if not r["pass"]]
-        assert code == 1
-        assert [r["inputs"]["check"] for r in failed] == ["kernel_square_bound"] * 3
-        assert [r["outputs"] for r in failed] == [
-            {"computed": 3, "claimed": 99},
-            {"computed": 1, "claimed": 99},
-            {"computed": 0, "claimed": 99},
-        ]
 
 
 class TestPairAndSquare:
@@ -327,25 +310,18 @@ class TestVerifyPaper:
         assert "at most 100" in err
 
 
-# Each wrapper breaks exactly one claim of a record kind that makes more than
-# one (computed, claimed) claim; it replaces a name in its home module, where
-# k3mukai.checks._point_checks looks it up: the six checks as module globals
-# of `checks`, every other library name by an import at each call.
+# Each wrapper breaks the rows of exactly one record kind; it replaces a name
+# in its home module, where k3mukai.checks._point_checks looks it up: the three
+# checks as module globals of `checks`, every other library name by an import
+# at each call.
 def fine_dual(build_dual):
     return lambda g, n: DualSurfaceReport(**{**vars(build_dual(g, n)), "fine": True})
 
 
 def violation_at_length_zero(double_dual_square):
-    # the square equals its claim, so only the Bogomolov-violation claim breaks
+    # a Bogomolov violation where the paper has a locally free double dual
     def broken(g, n, length):
-        return (-4, -4) if length == 0 else double_dual_square(g, n, length)
-    return broken
-
-
-def m_two_allowed(torsion_degree):
-    def broken(g, n, m):
-        degree, allowed = torsion_degree(g, n, m)
-        return degree, allowed or m == 2
+        return -4 if length == 0 else double_dual_square(g, n, length)
     return broken
 
 
@@ -367,7 +343,6 @@ def family_fails(family_holds):
 @pytest.mark.parametrize("kind, name, breaks", [
     ("dual_surface", "build_dual", fine_dual),
     ("double_dual_square", "double_dual_square", violation_at_length_zero),
-    ("torsion_degree", "torsion_degree", m_two_allowed),
     ("picard_determinants", "gen_picard_determinant", off_by_one),
     ("picard_form_inequivalence", "equivalent", reduced_form_certificate),
     ("transform_constraints", "family_holds", family_fails),
@@ -379,6 +354,26 @@ def test_one_broken_claim_fails_only_its_kind(capsys, monkeypatch, kind, name, b
     records = [json.loads(line) for line in out.splitlines()]
     assert code == 1
     assert {r["inputs"]["check"] for r in records if not r["pass"]} == {kind}
+
+
+# the ledger rows that read each check; the bound's raw route is the scan over
+# kernel squares, and at g = 3 a shift of 2 moves the largest N whose length-0
+# square is >= -2 from 3 to 4
+ROWS_READING = {
+    "double_dual_square": {"double_dual_square"},
+    "extension_square": {"extension_square"},
+    "kernel_square": {"kernel_square", "kernel_square_bound"},
+}
+
+
+@pytest.mark.parametrize("route", ROWS_READING)
+def test_shifted_raw_route_fails_every_row_that_reads_it(monkeypatch, route):
+    # each row writes the paper's value as its claim, so a raw square off by 2
+    # fails the rows that read it and no other
+    original = getattr(k3mukai.checks, route)
+    monkeypatch.setattr(k3mukai.checks, route, lambda *args: original(*args) + 2)
+    failing = {r["inputs"]["check"] for r in ledger_checks([3], [2]) if not r["pass"]}
+    assert failing == ROWS_READING[route]
 
 
 def test_wrong_dual_square_fails_every_row_that_reads_it(monkeypatch):
@@ -402,8 +397,10 @@ LEDGER_LOOKUPS = [
 
 def test_ledger_reads_each_name_off_its_home_module(monkeypatch):
     # a name bound at import would skip a replacement in its home module, which
-    # the broken-claim test above and perfbench's tracer both rely on
-    calls = dict.fromkeys(LEDGER_LOOKUPS, 0)
+    # the broken-claim tests above and perfbench's tracer both rely on; the
+    # checks themselves are read as module globals of `checks`
+    names = [*LEDGER_LOOKUPS, *k3mukai.checks.__all__]
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -411,7 +408,7 @@ def test_ledger_reads_each_name_off_its_home_module(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in LEDGER_LOOKUPS:
+    for name in names:
         home = sys.modules[getattr(k3mukai, name).__module__]
         monkeypatch.setattr(home, name, counting(name, getattr(home, name)))
     assert all(record["pass"] for record in ledger_checks([3], [2]))
