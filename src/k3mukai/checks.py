@@ -8,14 +8,14 @@ routines of `dual_surface` do.
 
 The ledger's rows live beside these checks: `_point_checks` yields each row
 at one (g, n) with its raw route and its claims, and it is the one place a
-claimed value is written.  Nothing here decides pass or fail;
-`cli.ledger_checks` does.
+claimed value is written; the rows also compute each generalized Picard
+determinant through the pairing.  `cli.ledger_checks` decides pass or fail.
 """
 
 from __future__ import annotations
 
 from .dual_surface import family_c2, member_gram
-from .mukai import MukaiVector, NSGram, euler_characteristic, is_primitive, square
+from .mukai import MukaiVector, NSGram, euler_characteristic, is_primitive, pairing, square
 
 __all__ = ["double_dual_square", "extension_square", "kernel_square"]
 
@@ -65,6 +65,18 @@ def kernel_square(g: int, n: int, N: int, length: int) -> int:
     return square(vec, member_gram(g, n))
 
 
+_BASIS = MukaiVector(1, (0,), 0), MukaiVector(0, (1,), 0), MukaiVector(0, (0,), 1)
+
+
+def _mukai_determinant(c2: int) -> int:
+    """Determinant of Z + <c2> + Z, the generalized Picard lattice U + <c2>: the
+    Gram of `pairing` on its basis (1, 0, 0), (0, 1, 0) and (0, 0, 1)."""
+    gram = NSGram.rank_one(c2)
+    rows = [[pairing(u, v, gram) for v in _BASIS] for u in _BASIS]
+    (a, b, c), (d, e, f), (h, i, j) = rows
+    return a * (e * j - f * i) - b * (d * j - f * h) + c * (d * i - e * h)
+
+
 def _equal(computed, claimed, **extra) -> tuple[dict, tuple]:
     """The outputs and the one claim of a record that checks computed == claimed."""
     return {"computed": computed, "claimed": claimed, **extra}, ((computed, claimed),)
@@ -77,7 +89,7 @@ def _point_checks(g: int, n: int):
     # looked up in their home modules at each call, so a replacement there is run
     from .bb import BBLattice, fujiki_degree
     from .dual_surface import build_dual, family_holds
-    from .quadforms import equivalent, gen_picard_determinant, picard_scheme_form
+    from .quadforms import equivalent, picard_scheme_form
 
     c2 = 2 * (g - 1) * n * n
     gram = NSGram.rank_one(c2)
@@ -148,8 +160,8 @@ def _point_checks(g: int, n: int):
         degree - (g - 1) * rank, 1, rank=rank, degree=degree
     )
 
-    hilb_det = gen_picard_determinant(c2)
-    dual_det = gen_picard_determinant(report.d_square)
+    hilb_det = _mukai_determinant(c2)
+    dual_det = _mukai_determinant(report.d_square)
     distinct = hilb_det != dual_det
     outputs = {"hilb_det": hilb_det, "dual_det": dual_det, "distinct": distinct}
     yield "picard_determinants", {}, outputs, (

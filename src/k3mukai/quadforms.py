@@ -24,7 +24,6 @@ __all__ = [
     "picard_scheme_form",
     "canonical",
     "equivalent",
-    "gen_picard_determinant",
     "isotropic_lines",
 ]
 
@@ -235,15 +234,3 @@ def equivalent(f1: QuadForm2, f2: QuadForm2, proper: bool = False) -> Equivalenc
         raise AssertionError(f"witness {witness} does not map {f1} to {f2}")
     return EquivalenceResult("equivalent", witness=witness)
 
-
-def gen_picard_determinant(c2: int) -> int:
-    """Determinant of the rank-three generalized Picard lattice U + <c2>.
-
-    A block sum multiplies determinants, so this is the determinant of the
-    hyperbolic plane U = [[0, 1], [1, 0]] times c2, that is -c2; comparing
-    these determinants for C^2 = 2(g-1)n^2 against D^2 = 2(g-1) is what
-    rules out an untwisted equivalence of the two surfaces.
-    """
-    if c2 <= 0 or c2 % 2:
-        raise ValueError("c2 must be a positive even integer")
-    return QuadForm2(0, 1, 0).determinant() * c2

@@ -2,7 +2,12 @@
 
 import pytest
 
-from k3mukai.checks import double_dual_square, extension_square, kernel_square
+from k3mukai.checks import (
+    _mukai_determinant,
+    double_dual_square,
+    extension_square,
+    kernel_square,
+)
 from k3mukai.mukai import MukaiVector, NSGram, square
 
 
@@ -120,3 +125,20 @@ class TestKernelSquare:
             kernel_square(2, 2, 0, 0)
         with pytest.raises(ValueError):
             kernel_square(2, 2, 1, -1)
+
+
+class TestGenPicardDeterminant:
+    """The ledger's `picard_determinants` row: the determinant of the Mukai
+    lattice Z + <c2> + Z = U + <c2>, computed from `pairing`."""
+
+    def test_equals_minus_c2(self):
+        # det(U) * c2 on every even c2 up to 2,000
+        for c2 in range(2, 2001, 2):
+            assert _mukai_determinant(c2) == -c2
+
+    def test_remark_inequality(self):
+        # S and its dual surface have different generalized Picard lattices
+        for g in range(2, 11):
+            for n in range(2, 11):
+                hilb = _mukai_determinant(2 * (g - 1) * n * n)
+                assert hilb != _mukai_determinant(2 * (g - 1))

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, determinism, JSON schema."""
 
+import ast
 import contextlib
 import io
 import json
@@ -325,10 +326,6 @@ def violation_at_length_zero(double_dual_square):
     return broken
 
 
-def off_by_one(gen_picard_determinant):
-    return lambda c2: gen_picard_determinant(c2) + 1
-
-
 def reduced_form_certificate(equivalent):
     def broken(*args, **kwargs):
         result = equivalent(*args, **kwargs)
@@ -343,7 +340,6 @@ def family_fails(family_holds):
 @pytest.mark.parametrize("kind, name, breaks", [
     ("dual_surface", "build_dual", fine_dual),
     ("double_dual_square", "double_dual_square", violation_at_length_zero),
-    ("picard_determinants", "gen_picard_determinant", off_by_one),
     ("picard_form_inequivalence", "equivalent", reduced_form_certificate),
     ("transform_constraints", "family_holds", family_fails),
 ])
@@ -388,18 +384,34 @@ def test_wrong_dual_square_fails_every_row_that_reads_it(monkeypatch):
     assert failing == {"dual_curve_square", "picard_determinants", "tensor_degree"}
 
 
-# the library names `_point_checks` imports at each call
-LEDGER_LOOKUPS = [
-    "BBLattice", "fujiki_degree", "build_dual", "family_holds",
-    "equivalent", "gen_picard_determinant", "picard_scheme_form",
-]
+def test_pairing_off_by_one_fails_only_the_determinants(monkeypatch):
+    # both Picard determinants are Gram determinants of `pairing`, read as a
+    # module global of `checks`; the squares the other rows read come from
+    # mukai's own `pairing`, so only picard_determinants sees the shift
+    original = k3mukai.checks.pairing
+    monkeypatch.setattr(k3mukai.checks, "pairing", lambda v, u, gram: original(v, u, gram) + 1)
+    failing = {r["inputs"]["check"] for r in ledger_checks([3], [2]) if not r["pass"]}
+    assert failing == {"picard_determinants"}
+
+
+def ledger_lookups():
+    """The library names `_point_checks` imports at each call, read off its source."""
+    tree = ast.parse(Path(k3mukai.checks.__file__).read_text())
+    point_checks = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_point_checks"
+    )
+    return [
+        alias.name for node in ast.walk(point_checks)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names
+    ]
 
 
 def test_ledger_reads_each_name_off_its_home_module(monkeypatch):
     # a name bound at import would skip a replacement in its home module, which
     # the broken-claim tests above and perfbench's tracer both rely on; the
     # checks themselves are read as module globals of `checks`
-    names = [*LEDGER_LOOKUPS, *k3mukai.checks.__all__]
+    names = [*ledger_lookups(), *k3mukai.checks.__all__]
     calls = dict.fromkeys(names, 0)
 
     def counting(name, original):
@@ -641,6 +653,15 @@ class TestDeterminism:
         assert first.stdout
 
 
+# the call each benchmark workload (perfbench/workloads.py `setup_request`)
+# times from a cold interpreter
+SETUP_CALLS = {
+    "ledger": ["verify-paper", "--g=2", "--n=2", "--json"],
+    "bounded": ["criterion", "--g=3", "--n=2", "--bound=6", "--json"],
+    "interactive": TRANSCRIPTS["pair.txt"],
+}
+
+
 class TestParser:
     def test_import_leaves_thread_pool_unloaded(self):
         # census runs no thread pool, json is imported on first use,
@@ -694,8 +715,23 @@ class TestParser:
                 ["verify-paper", "--g", "2", "--n", "2"],
                 ["bb", "checks", "cli", "dual_surface", "hermite", "mukai", "quadforms", "value"],
             ),
+            (
+                TRANSCRIPTS["isotropic_c2_8_g2_b10.txt"],
+                ["bb", "cli", "hermite", "mukai", "quadforms", "value"],
+            ),
+            *(
+                (argv, ["bb", "cli", "dual_surface", "hermite", "mukai", "quadforms", "value"])
+                for argv in (
+                    TRANSCRIPTS["dual_g2_n2.txt"],
+                    TRANSCRIPTS["census_10_10.txt"],
+                    SETUP_CALLS["bounded"],
+                )
+            ),
         ],
-        ids=["package", "pair", "square", "equiv_forms", "equiv_picard", "verify_paper"],
+        ids=[
+            "package", "pair", "square", "equiv_forms", "equiv_picard", "verify_paper",
+            "isotropic", "dual", "census", "criterion",
+        ],
     )
     def test_call_loads_only_the_modules_it_runs(self, argv, loaded):
         # the package loads a library module on first use of one of its names,
@@ -715,6 +751,27 @@ class TestParser:
             [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
         )
         assert result.stdout == f"0 {[f'k3mukai.{m}' for m in loaded]}\n"
+
+    @pytest.mark.parametrize("workload", SETUP_CALLS)
+    def test_setup_call_leaves_heavy_stdlib_unloaded(self, workload):
+        # a whole call, not only the import, stays clear of the modules the
+        # import probe above watches; json is imported only to encode --json
+        argv = SETUP_CALLS[workload]
+        watched = ["dataclasses", "inspect", "typing", "fractions", "decimal",
+                   "concurrent.futures", *(() if "--json" in argv else ("json",))]
+        src = os.path.dirname(os.path.dirname(k3mukai.checks.__file__))
+        probe = (
+            f"import sys\nsys.path.insert(0, {src!r})\nimport contextlib, io\n"
+            "before = set(sys.modules)\nimport k3mukai.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = k3mukai.cli.main({argv!r})\n"
+            f"print(code, sorted(m for m in {watched!r}\n"
+            "                   if m in sys.modules and m not in before))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "0 []\n"
 
     @pytest.mark.parametrize(
         "argv",

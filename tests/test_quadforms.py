@@ -17,7 +17,6 @@ from k3mukai.quadforms import (
     _complete,
     canonical,
     equivalent,
-    gen_picard_determinant,
     isotropic_lines,
     picard_scheme_form,
 )
@@ -522,22 +521,3 @@ def test_transform_scales_determinant(m11, m12, m22, a, b, c, d):
     det_u = a * d - b * c
     assert f.transform(u).determinant() == det_u * det_u * f.determinant()
 
-
-class TestGenPicardDeterminant:
-    @pytest.mark.parametrize(
-        "c2,expected", [(8, -8), (2, -2), (2 * 9 * 16, -288)]
-    )
-    def test_values(self, c2, expected):
-        assert gen_picard_determinant(c2) == expected
-
-    def test_remark_inequality(self):
-        for g in range(2, 11):
-            for n in range(2, 11):
-                assert gen_picard_determinant(
-                    2 * (g - 1) * n * n
-                ) != gen_picard_determinant(2 * (g - 1))
-
-    @pytest.mark.parametrize("bad", [0, -2, 5])
-    def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            gen_picard_determinant(bad)
