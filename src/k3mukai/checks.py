@@ -7,9 +7,10 @@ ValueError in `family_c2`; every check takes (g, n) first, as the family
 routines of `dual_surface` do.
 
 The ledger's rows live beside these checks: `_point_checks` yields each row
-at one (g, n) with its raw route and its claims, and it is the one place a
-claimed value is written; the rows also compute each generalized Picard
-determinant through the pairing.  `cli.ledger_checks` decides pass or fail.
+at one (g, n) with its computed tuple and its claimed tuple, and it is the
+one place a claimed value is written; the rows also compute each generalized
+Picard determinant through the pairing.  `cli.ledger_checks` decides pass or
+fail: a record passes when its two tuples are equal.
 """
 
 from __future__ import annotations
@@ -77,15 +78,15 @@ def _mukai_determinant(c2: int) -> int:
     return a * (e * j - f * i) - b * (d * j - f * h) + c * (d * i - e * h)
 
 
-def _equal(computed, claimed, **extra) -> tuple[dict, tuple]:
-    """The outputs and the one claim of a record that checks computed == claimed."""
-    return {"computed": computed, "claimed": claimed, **extra}, ((computed, claimed),)
+def _equal(computed, claimed, **extra) -> tuple[dict, tuple, tuple]:
+    """The outputs and the two sides of a record that checks computed == claimed."""
+    return {"computed": computed, "claimed": claimed, **extra}, (computed,), (claimed,)
 
 
 def _point_checks(g: int, n: int):
     """Every ledger check at one (g, n) grid point, as (check, inputs,
-    outputs, claims); `claims` holds (computed, claimed) pairs, each claimed
-    side the paper's value as written here."""
+    outputs, computed, claimed); `computed` and `claimed` are tuples of equal
+    length, each claimed value the paper's as written here."""
     # looked up in their home modules at each call, so a replacement there is run
     from .bb import BBLattice, fujiki_degree
     from .dual_surface import build_dual, family_holds
@@ -96,7 +97,7 @@ def _point_checks(g: int, n: int):
     report = build_dual(g, n)
     w = report.w
 
-    yield "dual_surface", {}, {**vars(report)}, ((report.fine, False),)
+    yield "dual_surface", {}, {**vars(report)}, (report.c2, report.fine), (c2, False)
     yield "w_isotropic", {}, *_equal(square(w, gram), 0)
     yield "w_primitive", {}, *_equal(is_primitive(w), True)
     yield "gerbe_order", {}, *_equal(report.gerbe_order, n)
@@ -119,14 +120,11 @@ def _point_checks(g: int, n: int):
     yield "fujiki_constant_degree", {}, *_equal(fujiki_degree(q_ample, 0, 0, g), 0)
 
     for length in range(0, 4):
-        computed = double_dual_square(g, n, length)
-        violation = computed < -2
-        outputs, claims = _equal(
-            computed, -2 * n * length, bogomolov_violation=violation
-        )
-        yield "double_dual_square", {"length": length}, outputs, (
-            *claims, (violation, length > 0)
-        )
+        value = double_dual_square(g, n, length)
+        violation = value < -2
+        outputs = _equal(value, -2 * n * length, bogomolov_violation=violation)[0]
+        computed, claimed = (value, violation), (-2 * n * length, length > 0)
+        yield "double_dual_square", {"length": length}, outputs, computed, claimed
 
     yield "extension_square", {}, *_equal(extension_square(g, n), -2 * (n * g + 1))
 
@@ -149,9 +147,8 @@ def _point_checks(g: int, n: int):
             continue
         # m > 1 would undercut C^2, the least positive degree the transform preserves
         degree, allowed = c2 // m, m == 1
-        yield "torsion_degree", {"m": m}, {"degree": degree, "allowed": allowed}, (
-            (degree * m, c2), (allowed, m == 1)
-        )
+        outputs = {"degree": degree, "allowed": allowed}
+        yield "torsion_degree", {"m": m}, outputs, (degree * m, allowed), (c2, m == 1)
 
     yield "tensor_degree", {}, *_equal(n * n * report.d_square, c2)
 
@@ -164,17 +161,17 @@ def _point_checks(g: int, n: int):
     dual_det = _mukai_determinant(report.d_square)
     distinct = hilb_det != dual_det
     outputs = {"hilb_det": hilb_det, "dual_det": dual_det, "distinct": distinct}
-    yield "picard_determinants", {}, outputs, (
-        (hilb_det, -c2), (dual_det, -(2 * g - 2)), (distinct, True)
-    )
+    computed, claimed = (hilb_det, dual_det, distinct), (-c2, -(2 * g - 2), True)
+    yield "picard_determinants", {}, outputs, computed, claimed
 
     for d in range(0, 4 * g + 1):
         scheme = picard_scheme_form(g, d)
         verdict = equivalent(hilb, scheme.form)
         outputs = {"verdict": verdict.verdict, "certificate": verdict.certificate,
                    "determinants": verdict.values}
-        yield "picard_form_inequivalence", {"d": d}, outputs, (
-            (verdict.verdict, "not_equivalent"), (verdict.certificate, "determinant")
-        )
+        computed = verdict.verdict, verdict.certificate, verdict.values
+        # det diag(c2, -2(g-1)) and det [[0, -a0], [-a0, 2(g-1) b0^2]]
+        claimed = "not_equivalent", "determinant", (-2 * (g - 1) * c2, -scheme.a0**2)
+        yield "picard_form_inequivalence", {"d": d}, outputs, computed, claimed
 
     yield "transform_constraints", {}, *_equal(family_holds(g, n), True)

@@ -2,10 +2,10 @@
 
 Subcommands cover single computations (pair, square, isotropic, dual,
 criterion, equiv), the full verification ledger (verify-paper: `checks`
-yields its rows and `ledger_checks` decides each one), and the (g, n)
-census.  `_SUBCOMMANDS` declares each one once, with its `--help`
-line and its flags; `main` runs its handler `cmd_<name>`, which returns
-the records.  A record is the dict
+yields each row's computed and claimed tuples, and `ledger_checks` passes
+a row when the two are equal), and the (g, n) census.  `_SUBCOMMANDS`
+declares each one once, with its `--help` line and its flags; `main` runs
+its handler `cmd_<name>`, which returns the records.  A record is the dict
 {"command": str, "inputs": dict, "outputs": dict, "pass": bool?}
 whose values may still be library values; only ledger records carry "pass".
 Output is a human-readable aligned table by default; --json switches to
@@ -62,7 +62,7 @@ def _format_value(value) -> str:
 
 
 def ledger_checks(g_values, n_values) -> list[dict]:
-    """The ledger over a (g, n) grid; a record passes when all its claims hold."""
+    """The ledger over a (g, n) grid; a record passes when computed == claimed."""
     from .checks import _point_checks
 
     return [
@@ -70,11 +70,11 @@ def ledger_checks(g_values, n_values) -> list[dict]:
             "command": "verify-paper",
             "inputs": {"check": check, "g": g, "n": n, **inputs},
             "outputs": outputs,
-            "pass": all(computed == claimed for computed, claimed in claims),
+            "pass": computed == claimed,
         }
         for g in g_values
         for n in n_values
-        for check, inputs, outputs, claims in _point_checks(g, n)
+        for check, inputs, outputs, computed, claimed in _point_checks(g, n)
     ]
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from k3mukai.checks import (
     _mukai_determinant,
+    _point_checks,
     double_dual_square,
     extension_square,
     kernel_square,
@@ -142,3 +143,13 @@ class TestGenPicardDeterminant:
             for n in range(2, 11):
                 hilb = _mukai_determinant(2 * (g - 1) * n * n)
                 assert hilb != _mukai_determinant(2 * (g - 1))
+
+
+def test_every_row_has_two_sides_of_one_nonzero_length():
+    # an empty pair of sides would pass without checking anything, and a
+    # length mismatch would fail every record of its kind
+    for g in range(2, 11):
+        for n in range(2, 11):
+            for check, _, _, computed, claimed in _point_checks(g, n):
+                assert type(computed) is tuple and type(claimed) is tuple, check
+                assert len(computed) == len(claimed) > 0, check

@@ -319,6 +319,14 @@ def fine_dual(build_dual):
     return lambda g, n: DualSurfaceReport(**{**vars(build_dual(g, n)), "fine": True})
 
 
+def shifted_c2(build_dual):
+    # the printed C^2 off by 2; every other row reads C^2 = 2(g-1)n^2 itself
+    def broken(g, n):
+        report = build_dual(g, n)
+        return DualSurfaceReport(**{**vars(report), "c2": report.c2 + 2})
+    return broken
+
+
 def violation_at_length_zero(double_dual_square):
     # a Bogomolov violation where the paper has a locally free double dual
     def broken(g, n, length):
@@ -333,14 +341,24 @@ def reduced_form_certificate(equivalent):
     return broken
 
 
+def swapped_determinants(equivalent):
+    # the certificate's two determinants in the wrong order
+    def broken(*args, **kwargs):
+        result = equivalent(*args, **kwargs)
+        return EquivalenceResult(**{**vars(result), "values": result.values[::-1]})
+    return broken
+
+
 def family_fails(family_holds):
     return lambda g, n: False
 
 
 @pytest.mark.parametrize("kind, name, breaks", [
     ("dual_surface", "build_dual", fine_dual),
+    ("dual_surface", "build_dual", shifted_c2),
     ("double_dual_square", "double_dual_square", violation_at_length_zero),
     ("picard_form_inequivalence", "equivalent", reduced_form_certificate),
+    ("picard_form_inequivalence", "equivalent", swapped_determinants),
     ("transform_constraints", "family_holds", family_fails),
 ])
 def test_one_broken_claim_fails_only_its_kind(capsys, monkeypatch, kind, name, breaks):
